@@ -95,10 +95,13 @@ def load_checkpoint(path) -> tuple[str, dict, list[np.ndarray], dict]:
             raise ChecksumError(f"{path}: section payload runs past end of file")
         sections.append(raw[offset : offset + length])
         offset += length
-    config_text = sections[0].decode("utf-8")
-    arch = json.loads(sections[1].decode("utf-8"))
-    tensors = _unpack_tensors(sections[2])
-    progress = json.loads(sections[3].decode("utf-8"))
+    try:
+        config_text = sections[0].decode("utf-8")
+        arch = json.loads(sections[1].decode("utf-8"))
+        tensors = _unpack_tensors(sections[2])
+        progress = json.loads(sections[3].decode("utf-8"))
+    except (ValueError, struct.error) as exc:
+        raise FormatError(f"{path}: malformed section: {exc}") from exc
     return config_text, arch, tensors, progress
 
 

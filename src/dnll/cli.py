@@ -8,7 +8,12 @@ check of the two closed forms), ``ablate`` (the m / selection / learning
 mode sweeps).
 
 Exit codes are a stable contract: 0 success, 1 a requested check failed,
-2 usage or input error, 3 numeric failure during training. The environment
+2 usage or input error, 3 numeric failure during training. Exit 2 covers
+every package error except a numeric one, and missing files: a bad config,
+split manifest, IDX file or checkpoint, and data whose shape does not fit
+the checkpoint. ``theory`` fails its check when a cell's |z| exceeds 4,
+with z in units of the standard error the closed form p0 implies,
+sqrt(p0 * (1 - p0) / trials). The environment
 variable DNLL_THREADS caps the worker count used for simulation sharding
 (default 1; results are shard-scheduling invariant either way).
 """
@@ -35,19 +40,12 @@ from .data import (
     write_idx,
     write_split_manifest,
 )
-from .errors import (
-    ChecksumError,
-    ConfigError,
-    DataError,
-    FormatError,
-    LengthError,
-    NumericError,
-)
+from .errors import DnllError, NumericError
 from .negative_labels import MisclassProfile
-from .nn import Architecture, ModelState
+from .nn import Architecture
 from .synthetic import synthetic_digits
 from .theory import TransferModel, run_grid, simulate_coupling, simulate_transfer_error
-from .trainer import DualTrainer, TrainData, evaluate, evaluate_ensemble
+from .trainer import DualTrainer, TrainData, evaluate, evaluate_ensemble, unpack_state
 
 THEORY_CSV_HEADER = "q,K,m,trials,closed_form,estimate,standard_error,z_score"
 
@@ -153,25 +151,9 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _models_from_checkpoint(path) -> tuple[ModelState, ModelState, MisclassProfile, MisclassProfile, dict]:
-    config_text, arch_dict, tensors, progress = load_checkpoint(path)
-    arch = Architecture.from_dict(arch_dict)
-    n_layers = len(arch.layer_sizes) - 1
-    it = iter(tensors)
-    models = []
-    for seed_tag in (1, 2):
-        weights = [next(it) for _ in range(n_layers)]
-        biases = [next(it) for _ in range(n_layers)]
-        vel_w = [next(it) for _ in range(n_layers)]
-        vel_b = [next(it) for _ in range(n_layers)]
-        models.append(ModelState(arch, weights, biases, vel_w, vel_b, rng_stream_id=seed_tag))
-    k = arch.n_classes
-    profiles = [MisclassProfile(k, pr=next(it)), MisclassProfile(k, pr=next(it))]
-    return models[0], models[1], profiles[0], profiles[1], progress
-
-
 def cmd_eval(args) -> int:
-    model1, model2, _, _, _ = _models_from_checkpoint(args.checkpoint)
+    _, arch, tensors, _ = load_checkpoint(args.checkpoint)
+    model1, model2, _, _ = unpack_state(Architecture.from_dict(arch), tensors)
     train, test = load_train_test(args.data_dir)
     if args.split:
         split = read_split_manifest(args.split)
@@ -206,12 +188,15 @@ def _write_matrix_csv(path, matrix: np.ndarray) -> None:
 
 
 def cmd_profile(args) -> int:
-    _, _, profile1, profile2, _ = _models_from_checkpoint(args.checkpoint)
+    _, arch_dict, tensors, _ = load_checkpoint(args.checkpoint)
+    arch = Architecture.from_dict(arch_dict)
+    _, _, pr1, pr2 = unpack_state(arch, tensors)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for tag, profile in (("model1", profile1), ("model2", profile2)):
-        _write_matrix_csv(out / f"profile_pr_{tag}.csv", profile.pr)
-        _write_matrix_csv(out / f"profile_rates_{tag}.csv", profile.rates())
+    for tag, pr in (("model1", pr1), ("model2", pr2)):
+        _write_matrix_csv(out / f"profile_pr_{tag}.csv", pr)
+        rates = MisclassProfile(arch.n_classes, pr=pr).rates()
+        _write_matrix_csv(out / f"profile_rates_{tag}.csv", rates)
     print(f"profiles written to {out}")
     return 0
 
@@ -375,15 +360,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, DataError, FormatError, LengthError, ChecksumError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
+    except (DnllError, FileNotFoundError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def console_main() -> None:

@@ -9,7 +9,7 @@ config in canonical order, which is what run manifests echo.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .data import AugmentConfig
@@ -80,20 +80,26 @@ class TrainConfig:
         return self.lam
 
 
-def _parse_bool(raw: str, key: str) -> bool:
+def _parse_bool(raw: str) -> bool:
     low = raw.lower()
     if low in ("true", "1", "yes"):
         return True
     if low in ("false", "0", "no"):
         return False
-    raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
+    raise ValueError(f"expected a boolean, got {raw!r}")
 
 
 def _parse_hidden(raw: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok) for tok in raw.replace(" ", "").split(",") if tok)
-    except ValueError as exc:
-        raise ConfigError(f"model.hidden: expected comma-separated ints, got {raw!r}") from exc
+    return tuple(int(tok) for tok in raw.replace(" ", "").split(",") if tok)
+
+
+def _format(value) -> str:
+    """Inverse of the parsers: booleans as true/false, hidden widths as a,b."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (tuple, list)):
+        return ",".join(str(v) for v in value)
+    return str(value)
 
 
 # key -> (section, attribute, parser)
@@ -132,7 +138,7 @@ _SCHEMA = {
 def parse_config(text: str) -> TrainConfig:
     """Parse key=value text into a validated TrainConfig."""
     top: dict = {}
-    nested: dict[str, dict] = {"optimizer": {}, "augment": {}, "seeds": {}}
+    sections: dict[str, dict] = {sec: {} for sec, _, _ in _SCHEMA.values() if sec}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -146,23 +152,13 @@ def parse_config(text: str) -> TrainConfig:
             raise ConfigError(f"unknown config key {key!r} (line {lineno})")
         section, attr, parser = _SCHEMA[key]
         try:
-            if parser in (_parse_bool,):
-                value = parser(raw_value, key)
-            else:
-                value = parser(raw_value)
-        except ConfigError:
-            raise
-        except (TypeError, ValueError) as exc:
+            value = parser(raw_value)
+        except ValueError as exc:
             raise ConfigError(f"{key}: cannot parse value {raw_value!r}") from exc
-        if section is None:
-            top[attr] = value
-        else:
-            nested[section][attr] = value
+        (top if section is None else sections[section])[attr] = value
+    section_types = {f.name: f.default_factory for f in fields(TrainConfig)}
     return TrainConfig(
-        optimizer=OptimizerConfig(**nested["optimizer"]),
-        augment=AugmentConfig(**nested["augment"]),
-        seeds=Seeds(**nested["seeds"]),
-        **top,
+        **{sec: section_types[sec](**values) for sec, values in sections.items()}, **top
     )
 
 
@@ -172,40 +168,8 @@ def parse_config_file(path) -> TrainConfig:
 
 def serialize_config(cfg: TrainConfig) -> str:
     """Canonical key=value dump of every field (manifest echo format)."""
-    values = {
-        "lambda": cfg.lam,
-        "m": cfg.m,
-        "selection_mode": cfg.selection_mode,
-        "learning_mode": cfg.learning_mode,
-        "epochs": cfg.epochs,
-        "batch_size": cfg.batch_size,
-        "labeled_fraction": cfg.labeled_fraction,
-        "ema_decay": cfg.ema_decay,
-        "lambda_ramp_epochs": cfg.lambda_ramp_epochs,
-        "model.hidden": ",".join(str(h) for h in cfg.hidden),
-        "model.activation": cfg.activation,
-        "data.max_unlabeled": cfg.max_unlabeled,
-        "optimizer.base_lr": cfg.optimizer.base_lr,
-        "optimizer.momentum": cfg.optimizer.momentum,
-        "optimizer.weight_decay": cfg.optimizer.weight_decay,
-        "optimizer.total_steps": cfg.optimizer.total_steps,
-        "optimizer.nesterov": cfg.optimizer.nesterov,
-        "augment.weak": cfg.augment.weak,
-        "augment.strong": cfg.augment.strong,
-        "augment.crop_pad": cfg.augment.crop_pad,
-        "augment.flip_p": cfg.augment.flip_p,
-        "augment.noise_sigma": cfg.augment.noise_sigma,
-        "augment.per_submodel_streams": cfg.augment.per_submodel_streams,
-        "seeds.model1": cfg.seeds.model1,
-        "seeds.model2": cfg.seeds.model2,
-        "seeds.data": cfg.seeds.data,
-        "seeds.sampler": cfg.seeds.sampler,
-        "seeds.augment": cfg.seeds.augment,
-    }
     lines = []
-    for key in _SCHEMA:
-        v = values[key]
-        if isinstance(v, bool):
-            v = "true" if v else "false"
-        lines.append(f"{key} = {v}")
+    for key, (section, attr, _) in _SCHEMA.items():
+        owner = cfg if section is None else getattr(cfg, section)
+        lines.append(f"{key} = {_format(getattr(owner, attr))}")
     return "\n".join(lines) + "\n"

@@ -62,6 +62,12 @@ class Dataset:
         return self.images.reshape(self.images.shape[0], -1)
 
     def subset(self, indices: np.ndarray, role: str | None = None) -> "Dataset":
+        indices = np.asarray(indices)
+        outside = (indices < 0) | (indices >= len(self))
+        if outside.any():
+            raise DataError(
+                f"index {int(indices[outside][0])} is outside a dataset of {len(self)} samples"
+            )
         return Dataset(self.images[indices], self._labels[indices], role or self.role)
 
 
@@ -216,6 +222,7 @@ def write_split_manifest(path, split: Split, seed: int) -> None:
 
 
 def read_split_manifest(path) -> Split:
+    """Read a split manifest; each index may appear once across all sections."""
     parts = {}
     for line in Path(path).read_text().splitlines():
         line = line.strip()
@@ -224,10 +231,20 @@ def read_split_manifest(path) -> Split:
         name, _, rest = line.partition(":")
         name = name.strip()
         if name in ("labeled", "unlabeled", "validation"):
-            parts[name] = np.array([int(t) for t in rest.split()], dtype=np.int64)
+            try:
+                parts[name] = np.array([int(t) for t in rest.split()], dtype=np.int64)
+            except (ValueError, OverflowError) as exc:
+                raise FormatError(
+                    f"split manifest {path}: section {name!r} holds a non-index token"
+                ) from exc
     missing = {"labeled", "unlabeled", "validation"} - parts.keys()
     if missing:
         raise FormatError(f"split manifest {path} is missing sections: {sorted(missing)}")
+    values, counts = np.unique(np.concatenate(list(parts.values())), return_counts=True)
+    if (counts > 1).any():
+        raise DataError(
+            f"split manifest {path}: index {int(values[counts > 1][0])} is listed more than once"
+        )
     return Split(**parts)
 
 

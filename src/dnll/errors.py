@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
-The CLI maps these onto its exit-code contract: configuration/data/format
-problems exit with 2, numeric failures (non-finite losses or gradients)
-with 3.
+The CLI maps these onto its exit-code contract: numeric failures
+(non-finite losses or gradients) exit with 3, every other error here
+with 2.
 """
 
 

@@ -66,29 +66,18 @@ class Architecture:
 
 @dataclass
 class ModelState:
-    """Parameters, momentum buffers and the seed the model was built from."""
+    """Parameters and momentum buffers of one classifier."""
 
     arch: Architecture
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     vel_w: list[np.ndarray]
     vel_b: list[np.ndarray]
-    rng_stream_id: int
 
     def param_vector(self) -> np.ndarray:
         """All parameters flattened into one vector (for distance checks)."""
         parts = [w.ravel() for w in self.weights] + [b.ravel() for b in self.biases]
         return np.concatenate(parts)
-
-    def copy(self) -> "ModelState":
-        return ModelState(
-            arch=self.arch,
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-            vel_w=[v.copy() for v in self.vel_w],
-            vel_b=[v.copy() for v in self.vel_b],
-            rng_stream_id=self.rng_stream_id,
-        )
 
 
 @dataclass
@@ -97,9 +86,6 @@ class Gradients:
 
     dw: list[np.ndarray]
     db: list[np.ndarray]
-
-    def scaled(self, factor: float) -> "Gradients":
-        return Gradients([g * factor for g in self.dw], [g * factor for g in self.db])
 
     def add_(self, other: "Gradients") -> "Gradients":
         for a, b in zip(self.dw, other.dw):
@@ -133,7 +119,7 @@ def init_model(arch: Architecture, seed: int) -> ModelState:
         biases.append(np.zeros(fan_out))
         vel_w.append(np.zeros((fan_in, fan_out)))
         vel_b.append(np.zeros(fan_out))
-    return ModelState(arch, weights, biases, vel_w, vel_b, rng_stream_id=int(seed))
+    return ModelState(arch, weights, biases, vel_w, vel_b)
 
 
 def _activate(z: np.ndarray, kind: str) -> np.ndarray:

@@ -211,10 +211,14 @@ def simulate_coupling(model: TransferModel, shared_pool: bool = True, workers: i
 
 
 def _result(count: int, model: TransferModel, closed_form: float) -> SimResult:
+    """Binomial SE under the closed form p0, sqrt(p0 (1 - p0) / n).
+
+    The plug-in SE from the estimate collapses to zero or near it when a
+    rare cell sees 0 or 1 events, which would blow up z by chance alone.
+    """
     n = model.trials
-    est = count / n
-    se = math.sqrt(est * (1.0 - est) / n)
-    return SimResult(estimate=est, standard_error=se, trials=n, closed_form=closed_form)
+    se = math.sqrt(closed_form * (1.0 - closed_form) / n)
+    return SimResult(estimate=count / n, standard_error=se, trials=n, closed_form=closed_form)
 
 
 DEFAULT_GRID_Q = (0.0, 0.3, 0.5, 0.9, 1.0)

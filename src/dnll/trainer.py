@@ -30,7 +30,7 @@ import numpy as np
 from .checkpoint import load_checkpoint, restore_rng, rng_state, save_checkpoint
 from .config import TrainConfig, parse_config, serialize_config
 from .data import Dataset, augment_batch
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, FormatError, NumericError
 from .losses import cross_entropy, negative_loss, one_hot
 from .negative_labels import MisclassProfile, sample_negative_batch, update_misclass_profile
 from .nn import Architecture, ModelState, backprop_from, forward, init_model, softmax
@@ -105,6 +105,39 @@ def evaluate_ensemble(model1: ModelState, model2: ModelState, images_flat, label
         probs = 0.5 * (softmax(forward(model1, x)[0]) + softmax(forward(model2, x)[0]))
         correct += int((np.argmax(probs, axis=1) == labels[start : start + chunk]).sum())
     return correct / images_flat.shape[0]
+
+
+def pack_state(model1: ModelState, model2: ModelState, pr1: np.ndarray, pr2: np.ndarray) -> list[np.ndarray]:
+    """The checkpoint tensor layout: for each submodel its weights, biases,
+    weight and bias momentum (layer order), then the two EPM profiles."""
+    tensors = []
+    for model in (model1, model2):
+        tensors += [*model.weights, *model.biases, *model.vel_w, *model.vel_b]
+    return tensors + [pr1, pr2]
+
+
+def unpack_state(arch: Architecture, tensors: list[np.ndarray]):
+    """Inverse of ``pack_state``: (model1, model2, pr1, pr2).
+
+    The count (8 per layer + 2) and every shape are checked against
+    ``arch``, so a malformed checkpoint raises FormatError, not a partial
+    or misshapen state.
+    """
+    sizes = arch.layer_sizes
+    w_shapes = list(zip(sizes[:-1], sizes[1:]))
+    b_shapes = [(n,) for n in sizes[1:]]
+    model_shapes = w_shapes + b_shapes + w_shapes + b_shapes
+    expected = 2 * model_shapes + 2 * [(arch.n_classes, arch.n_classes)]
+    if len(tensors) != len(expected):
+        raise FormatError(
+            f"checkpoint holds {len(tensors)} tensors, architecture {arch} needs {len(expected)}"
+        )
+    for i, (t, shape) in enumerate(zip(tensors, expected)):
+        if t.shape != shape:
+            raise FormatError(f"checkpoint tensor {i} has shape {t.shape}, expected {shape}")
+    n = len(w_shapes)
+    parts = [tensors[i : i + n] for i in range(0, 8 * n, n)]
+    return ModelState(arch, *parts[:4]), ModelState(arch, *parts[4:]), tensors[-2], tensors[-1]
 
 
 class DualTrainer:
@@ -385,17 +418,6 @@ class DualTrainer:
                     self.save(out / "checkpoint_best.dnll")
         return history
 
-    def _tensors(self) -> list[np.ndarray]:
-        ts = []
-        for model in (self.model1, self.model2):
-            ts.extend(model.weights)
-            ts.extend(model.biases)
-            ts.extend(model.vel_w)
-            ts.extend(model.vel_b)
-        ts.append(self.profile1.pr)
-        ts.append(self.profile2.pr)
-        return ts
-
     def save(self, path) -> None:
         progress = {
             "epoch": self.epoch,
@@ -405,7 +427,8 @@ class DualTrainer:
             "sampler_rng": rng_state(self.sampler_rng),
         }
         save_checkpoint(
-            path, serialize_config(self.cfg), self.arch.to_dict(), self._tensors(), progress
+            path, serialize_config(self.cfg), self.arch.to_dict(),
+            pack_state(self.model1, self.model2, self.profile1.pr, self.profile2.pr), progress,
         )
 
     def load(self, path) -> None:
@@ -419,15 +442,7 @@ class DualTrainer:
         ckpt_cfg = parse_config(config_text)
         if serialize_config(ckpt_cfg) != serialize_config(replace(self.cfg, epochs=ckpt_cfg.epochs)):
             raise ConfigError("checkpoint config differs from trainer config (epochs aside)")
-        n_layers = len(self.model1.weights)
-        it = iter(tensors)
-        for model in (self.model1, self.model2):
-            model.weights = [next(it) for _ in range(n_layers)]
-            model.biases = [next(it) for _ in range(n_layers)]
-            model.vel_w = [next(it) for _ in range(n_layers)]
-            model.vel_b = [next(it) for _ in range(n_layers)]
-        self.profile1.pr = next(it)
-        self.profile2.pr = next(it)
+        self.model1, self.model2, self.profile1.pr, self.profile2.pr = unpack_state(arch, tensors)
         self.epoch = int(progress["epoch"])
         self.global_step = int(progress["global_step"])
         self.best = dict(progress["best"])

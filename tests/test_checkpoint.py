@@ -68,6 +68,24 @@ def test_flipped_byte(tmp_path, rng):
         load_checkpoint(path)
 
 
+def test_malformed_section_with_valid_crc(tmp_path, rng):
+    # A tensor count larger than the blob holds, re-sealed with a fresh CRC.
+    import json, struct, zlib
+
+    path = tmp_path / "c.dnll"
+    config_text, arch, tensors, progress = sample_payload(rng)
+    save_checkpoint(path, config_text, arch, tensors, progress)
+    raw = bytearray(path.read_bytes())
+    arch_json = json.dumps(arch, sort_keys=True).encode()
+    count_at = 8 + 8 + len(config_text.encode()) + 8 + len(arch_json) + 8
+    assert struct.unpack_from("<I", raw, count_at)[0] == len(tensors)
+    raw[count_at : count_at + 4] = struct.pack("<I", 99)
+    raw[-4:] = struct.pack("<I", zlib.crc32(bytes(raw[:-4])))
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="malformed"):
+        load_checkpoint(path)
+
+
 def test_tiny_file(tmp_path):
     path = tmp_path / "c.dnll"
     path.write_bytes(b"DN")

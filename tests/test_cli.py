@@ -7,6 +7,7 @@ import pytest
 
 from dnll.checkpoint import load_checkpoint, save_checkpoint
 from dnll.cli import main
+from dnll.data import load_train_test, write_idx
 
 TINY_CONFIG = """
 lambda = 1.0
@@ -147,6 +148,75 @@ class TestTrain:
         assert code == 3
 
 
+def damaged_checkpoint(src, dest, damage: str):
+    """Rewrite a checkpoint with a valid CRC but a malformed tensor list."""
+    config_text, arch, tensors, progress = load_checkpoint(src)
+    if damage == "too_few_tensors":
+        del tensors[-3:]
+    else:
+        tensors[0] = tensors[0][:, :-1]
+    save_checkpoint(dest, config_text, arch, tensors, progress)
+    return dest
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize("command", ["eval", "profile", "train --resume"])
+    @pytest.mark.parametrize("damage", ["too_few_tensors", "wrong_shape"])
+    def test_malformed_checkpoint_state_exit_2(
+        self, tmp_path, data_dir, split_file, trained, damage, command, capsys
+    ):
+        _, cfg, out = trained
+        bad = damaged_checkpoint(out / "checkpoint_last.dnll", tmp_path / "bad.dnll", damage)
+        argv = {
+            "eval": ["eval", "--checkpoint", str(bad), "--data-dir", str(data_dir)],
+            "profile": ["profile", "--checkpoint", str(bad), "--out-dir", str(tmp_path / "p")],
+            "train --resume": [
+                "train", "--config", str(cfg), "--data-dir", str(data_dir),
+                "--split", str(split_file), "--out-dir", str(tmp_path / "o"),
+                "--resume", str(bad),
+            ],
+        }[command]
+        assert main(argv) == 2
+        assert "tensor" in capsys.readouterr().err
+
+    def test_eval_image_size_mismatch_exit_2(self, tmp_path, data_dir, trained, capsys):
+        _, _, out = trained
+        train, test = load_train_test(data_dir)
+        small = tmp_path / "small"
+        small.mkdir()
+        write_idx(small / "train-images-idx3-ubyte", train.images)
+        write_idx(small / "train-labels-idx1-ubyte", train.labels)
+        write_idx(small / "t10k-images-idx3-ubyte", test.images[:, :20, :20])
+        write_idx(small / "t10k-labels-idx1-ubyte", test.labels)
+        assert main([
+            "eval", "--checkpoint", str(out / "checkpoint_last.dnll"), "--data-dir", str(small),
+        ]) == 2
+        assert "width" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda lab, unl: (lab + ["x1"], unl), "non-index"),
+        (lambda lab, unl: (lab + ["99999"], unl), "outside"),
+        (lambda lab, unl: (lab, unl + lab[:3]), "more than once"),
+    ], ids=["non-integer token", "index out of range", "labeled repeated as unlabeled"])
+    def test_bad_split_manifest_exit_2(
+        self, tmp_path, data_dir, split_file, trained, edit, message, capsys
+    ):
+        _, cfg, _ = trained
+        lines = split_file.read_text().splitlines()
+        sections = {line.split(":")[0]: line.split(":")[1].split() for line in lines if ":" in line}
+        labeled, unlabeled = edit(sections["labeled"], sections["unlabeled"])
+        bad = tmp_path / "split.txt"
+        bad.write_text(
+            f"{lines[0]}\nlabeled: {' '.join(labeled)}\nunlabeled: {' '.join(unlabeled)}\n"
+            f"validation: {' '.join(sections['validation'])}\n"
+        )
+        assert main([
+            "train", "--config", str(cfg), "--data-dir", str(data_dir),
+            "--split", str(bad), "--out-dir", str(tmp_path / "o"),
+        ]) == 2
+        assert message in capsys.readouterr().err
+
+
 class TestEval:
     def test_matches_final_metrics_row(self, trained, capsys):
         _, _, out = trained
@@ -234,6 +304,11 @@ class TestTheory:
         assert code == 0
         row = capsys.readouterr().out.splitlines()[1].split(",")
         assert float(row[4]) == 0.5
+
+    def test_rare_cell_without_events_exit_0(self):
+        assert main([
+            "theory", "--theorem", "2", "--q", "0.0", "--K", "100", "--m", "3", "--seed", "50",
+        ]) == 0
 
     def test_out_of_range_exit_2(self):
         assert main(["theory", "--theorem", "1", "--m", "12", "--K", "10"]) == 2

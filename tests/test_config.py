@@ -100,3 +100,41 @@ def test_lambda_ramp():
     assert cfg.effective_lambda(10) == pytest.approx(2.0)
     flat = parse_config("lambda = 2.0\n")
     assert flat.effective_lambda(0) == 2.0
+
+
+DEFAULT_CONFIG_TEXT = """\
+lambda = 1.0
+m = 1
+selection_mode = EP
+learning_mode = mutual_plus_self
+epochs = 30
+batch_size = 100
+labeled_fraction = 0.5
+ema_decay = 0.9
+lambda_ramp_epochs = 0
+model.hidden = 256,128
+model.activation = relu
+data.max_unlabeled = 0
+optimizer.base_lr = 0.03
+optimizer.momentum = 0.9
+optimizer.weight_decay = 0.0005
+optimizer.total_steps = 0
+optimizer.nesterov = false
+augment.weak = identity
+augment.strong = noise
+augment.crop_pad = 2
+augment.flip_p = 0.5
+augment.noise_sigma = 0.1
+augment.per_submodel_streams = true
+seeds.model1 = 1
+seeds.model2 = 2
+seeds.data = 3
+seeds.sampler = 4
+seeds.augment = 5
+"""
+
+
+def test_default_serialization_golden():
+    # Every checkpoint embeds this text, and resume compares it byte for
+    # byte, so key order and value spelling are part of the file format.
+    assert serialize_config(TrainConfig()) == DEFAULT_CONFIG_TEXT

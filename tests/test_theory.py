@@ -153,6 +153,16 @@ class TestCouplingSimulation:
         res = simulate_coupling(TransferModel(0.5, 10, 2, trials=400_000, seed=6))
         assert abs(res.estimate - res.closed_form) <= 4 * res.standard_error
 
+    def test_rare_cell_without_events_passes_gate(self):
+        # K=100, m=3 expects about 6.6 coupled rounds in 10^6 and this seed
+        # sees none. Measured in the closed form's own SE that is z = -2.56;
+        # an SE estimated from the zero count would be 0 and z infinite.
+        res = simulate_coupling(TransferModel(0.0, 100, 3, trials=1_000_000, seed=50))
+        assert res.estimate == 0.0
+        p0 = res.closed_form
+        assert res.standard_error == math.sqrt(p0 * (1 - p0) / res.trials)
+        assert abs(res.z_score) <= 4.0
+
     def test_decreases_in_k(self):
         estimates = [
             simulate_coupling(TransferModel(0.5, k, 1, trials=200_000, seed=7)).estimate

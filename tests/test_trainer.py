@@ -5,15 +5,23 @@ import time
 import numpy as np
 import pytest
 
+from dnll.checkpoint import load_checkpoint, save_checkpoint
 from dnll.config import TrainConfig
 from dnll.data import split_dataset
-from dnll.errors import ConfigError, DataError, NumericError
+from dnll.errors import ConfigError, DataError, FormatError, NumericError
 from dnll.losses import negative_loss
 from dnll.negative_labels import sample_negative_batch
 from dnll.nn import Architecture, backprop, init_model, predict_probs
 from dnll.optim import OptimizerConfig
 from dnll.synthetic import synthetic_digits
-from dnll.trainer import METRICS_HEADER, DualTrainer, TrainData, evaluate, evaluate_ensemble
+from dnll.trainer import (
+    METRICS_HEADER,
+    DualTrainer,
+    TrainData,
+    evaluate,
+    evaluate_ensemble,
+    pack_state,
+)
 
 
 def small_bundle(n_train=460, n_test=120, seed=21) -> TrainData:
@@ -39,6 +47,10 @@ def tiny_config(**overrides) -> TrainConfig:
 
 
 BUNDLE = small_bundle()
+
+
+def state_of(trainer: DualTrainer) -> list[np.ndarray]:
+    return pack_state(trainer.model1, trainer.model2, trainer.profile1.pr, trainer.profile2.pr)
 
 
 class TestDegenerateModes:
@@ -197,10 +209,25 @@ class TestDeterminismAndResume:
         trainer.save(tmp_path / "c.dnll")
         clone = DualTrainer(BUNDLE, cfg)
         clone.load(tmp_path / "c.dnll")
-        for a, b in zip(trainer._tensors(), clone._tensors()):
+        for a, b in zip(state_of(trainer), state_of(clone)):
             assert np.array_equal(a, b)
         assert clone.epoch == trainer.epoch
         assert clone.best == trainer.best
+
+    @pytest.mark.parametrize("damage", ["too_few_tensors", "wrong_shape"])
+    def test_load_rejects_malformed_state(self, tmp_path, damage):
+        trainer = DualTrainer(BUNDLE, tiny_config(epochs=1))
+        trainer.train_epoch()
+        trainer.save(tmp_path / "c.dnll")
+        config_text, arch, tensors, progress = load_checkpoint(tmp_path / "c.dnll")
+        if damage == "too_few_tensors":
+            del tensors[-3:]
+        else:
+            tensors[1] = tensors[1][:-1]
+        save_checkpoint(tmp_path / "bad.dnll", config_text, arch, tensors, progress)
+        clone = DualTrainer(BUNDLE, tiny_config(epochs=1))
+        with pytest.raises(FormatError, match="tensor"):
+            clone.load(tmp_path / "bad.dnll")
 
     def test_load_rejects_mismatched_architecture(self, tmp_path):
         trainer = DualTrainer(BUNDLE, tiny_config(epochs=1))
