@@ -1,7 +1,9 @@
 """Samplers, candidate counting and the error-perception profile."""
 
+import hashlib
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -243,3 +245,125 @@ class TestBatchSampler:
         rates = np.zeros((3, 3))
         _, _, fallbacks = sample_negative_batch(probs, 1, rng, rates)
         assert fallbacks == 1
+
+
+def _golden_inputs():
+    gen = np.random.default_rng(2024)
+    probs = gen.random((50, 10))
+    pr = gen.random((10, 10)) * 6.0
+    rates = np.stack([normalize_profile(pr[k], k) for k in range(10)])
+    return probs, rates
+
+
+def _digest(masks, preds):
+    return hashlib.sha256(masks.tobytes() + preds.tobytes()).hexdigest()
+
+
+def _exact_subset_probs(r_row, m):
+    """P(set) of sequential draw-and-renormalise, summed over draw orders."""
+    candidates = np.flatnonzero(r_row > 0)
+    total = r_row.sum()
+    probs = {}
+    for subset in itertools.combinations(candidates, m):
+        p = 0.0
+        for order in itertools.permutations(subset):
+            left, q = total, 1.0
+            for c in order:
+                q *= r_row[c] / left
+                left -= r_row[c]
+            p += q
+        probs[subset] = p
+    return probs
+
+
+class TestBatchSamplerPinned:
+    """The batch sampler's masks and RNG consumption, pinned bit for bit."""
+
+    # K=10, m=3, B=50 against sharp rates (row maxima 0.24-0.64), seed 31.
+    GOLDEN = {
+        "EPM": (
+            "f494f87bd5ff9904cc7baba886447f2863867b69b6253cc9fdb55e1c9be7ffe3",
+            {"state": 239159585474808836303822614364012207704, "has_uint32": 0, "uinteger": 0},
+        ),
+        "EP": (
+            "3e78871bb1dff87b27a2d64d0c7c7bf057e6e8cb2614c705301467b6c1181108",
+            {"state": 127897509167912202604121535178466097251, "has_uint32": 0, "uinteger": 1869533961},
+        ),
+    }
+
+    @pytest.mark.parametrize("mode", ["EP", "EPM"])
+    def test_golden_batch(self, mode):
+        probs, rates = _golden_inputs()
+        rng = np.random.default_rng(31)
+        masks, preds, fallbacks = sample_negative_batch(
+            probs, 3, rng, rates if mode == "EPM" else None
+        )
+        digest, state = self.GOLDEN[mode]
+        assert masks.dtype == np.float64 and preds.dtype == np.int64
+        assert _digest(masks, preds) == digest
+        assert fallbacks == 0
+        final = rng.bit_generator.state
+        assert final["state"]["state"] == state["state"]
+        assert final["state"]["inc"] == 107090353359002252723118071224206516545
+        assert (final["has_uint32"], final["uinteger"]) == (state["has_uint32"], state["uinteger"])
+
+    @pytest.mark.parametrize("mode", ["EP", "EPM"])
+    def test_batch_equals_scalar_calls(self, mode):
+        probs, rates = _golden_inputs()
+        rates[[0, 5]] = 0.0  # rows that exhaust their mass fall back
+        batch_rng, row_rng = np.random.default_rng(8), np.random.default_rng(8)
+        masks, preds, fallbacks = sample_negative_batch(
+            probs, 3, batch_rng, rates if mode == "EPM" else None
+        )
+        row_fallbacks = 0
+        for b, row in enumerate(probs):
+            pred = pseudo_label(row)
+            if mode == "EP":
+                nls = sample_negatives_ep(pred, 10, 3, row_rng)
+            else:
+                nls = sample_negatives_epm(pred, rates[pred], 10, 3, row_rng)
+            row_fallbacks += int(nls.fallback)
+            assert preds[b] == pred
+            assert np.array_equal(masks[b], nls.mask)
+        assert fallbacks == row_fallbacks
+        assert batch_rng.bit_generator.state == row_rng.bit_generator.state
+
+    @pytest.mark.parametrize("k, m, pred, row", [
+        (5, 2, 0, [0.0, 0.4, 0.3, 0.2, 0.1]),
+        (6, 3, 2, [0.35, 0.25, 0.0, 0.2, 0.12, 0.08]),
+    ])
+    def test_exact_small_k_subset_frequencies(self, k, m, pred, row):
+        # Every m-subset against the exact sequential-draw probabilities.
+        row = np.array(row)
+        exact = _exact_subset_probs(row, m)
+        assert sum(exact.values()) == pytest.approx(1.0, abs=1e-12)
+        n = 20_000
+        probs = np.tile(np.eye(k)[pred], (n, 1))
+        rates = np.tile(row, (k, 1))
+        masks, preds, fallbacks = sample_negative_batch(
+            probs, m, np.random.default_rng(97), rates
+        )
+        assert np.all(preds == pred) and fallbacks == 0
+        codes = masks.astype(np.int64) @ (1 << np.arange(k))
+        subsets = list(exact)
+        counts = [np.count_nonzero(codes == sum(1 << c for c in s)) for s in subsets]
+        assert sum(counts) == n
+        res = stats.chisquare(counts, f_exp=[n * exact[s] for s in subsets])
+        assert res.pvalue > 0.01
+
+    def test_fallback_rows_mixed_with_normal_rows(self):
+        k, m = 6, 3
+        rates = np.stack([normalize_profile(np.arange(k, dtype=float), c) for c in range(k)])
+        rates[0] = 0.0  # no mass at all
+        rates[1] = np.eye(k)[4]  # one candidate, then exhausted
+        probs = np.eye(k)[np.arange(40) % k] + 0.01
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            masks, preds, fallbacks = sample_negative_batch(
+                probs, m, np.random.default_rng(5), rates
+            )
+        assert np.array_equal(preds, np.arange(40) % k)
+        assert fallbacks == np.count_nonzero(preds <= 1)
+        assert np.all(masks.sum(axis=1) == m)
+        assert np.all(masks[np.arange(40), preds] == 0)
+        assert np.all(masks[preds == 1, 4] == 1)
