@@ -35,10 +35,10 @@ VERSION = 1
 def _pack_tensors(tensors: list[np.ndarray]) -> bytes:
     parts = [struct.pack("<I", len(tensors))]
     for t in tensors:
-        t = np.ascontiguousarray(t, dtype=np.float64)
+        t = np.asarray(t, dtype="<f8")  # ascontiguousarray would turn 0-d into 1-d
         parts.append(struct.pack("<B", t.ndim))
         parts.append(struct.pack(f"<{t.ndim}Q", *t.shape))
-        parts.append(t.astype("<f8").tobytes())
+        parts.append(t.tobytes())
     return b"".join(parts)
 
 

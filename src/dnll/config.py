@@ -28,6 +28,11 @@ class Seeds:
     sampler: int = 4
     augment: int = 5
 
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if value < 0:
+                raise ConfigError(f"seeds.{name} must be >= 0, got {value}")
+
 
 @dataclass
 class TrainConfig:

@@ -268,6 +268,8 @@ class AugmentConfig:
             raise ConfigError(f"weak mode {self.weak!r} not in {WEAK_MODES}")
         if self.strong not in STRONG_MODES:
             raise ConfigError(f"strong mode {self.strong!r} not in {STRONG_MODES}")
+        if self.crop_pad < 0:
+            raise ConfigError(f"crop_pad must be >= 0, got {self.crop_pad}")
         if self.noise_sigma < 0:
             raise ConfigError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         if not 0.0 <= self.flip_p <= 1.0:

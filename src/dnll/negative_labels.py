@@ -85,76 +85,75 @@ def _check_m(n_classes: int, m: int) -> None:
         )
 
 
+def _draw(preds: np.ndarray, n_classes: int, m: int, rng: np.random.Generator, weights=None):
+    """Negative masks (B x K) and per-row fallback flags: the one sampler.
+
+    EP (``weights`` None) keeps one ``Generator.choice(K-1, m, replace=False)``
+    per row: its Floyd + shuffle stream has no bulk form. EPM (``weights`` B x K,
+    changed in place) inverts ``u[:, j]`` through each row's renormalised CDF as
+    ``Generator.choice(K, p=...)`` does; exhausted rows go uniform over the rest.
+    """
+    _check_m(n_classes, m)
+    rows = np.arange(len(preds))
+    masks = np.zeros((len(preds), n_classes))
+    fallback = np.zeros(len(preds), dtype=bool)
+    if weights is None:
+        for b, pred in enumerate(preds):
+            idx = rng.choice(n_classes - 1, size=m, replace=False)
+            masks[b, idx + (idx >= pred)] = 1.0
+        return masks, fallback
+    if not ((weights >= 0.0) & np.isfinite(weights)).all():
+        raise ConfigError("EPM rates must be finite non-negative numbers")
+    weights[rows, preds] = 0.0
+    u = rng.random((len(preds), m, 1))
+    for j in range(m):
+        empty = weights.sum(axis=1) <= _MASS_FLOOR
+        if empty.any():
+            fallback |= empty
+            weights[empty] = (masks[empty] == 0.0) & (np.arange(n_classes) != preds[empty, None])
+        cdf = (weights / weights.sum(axis=1, keepdims=True)).cumsum(axis=1)
+        cdf /= cdf[:, -1:]
+        picks = (cdf <= u[:, j]).sum(axis=1)
+        masks[rows, picks] = 1.0
+        weights[rows, picks] = 0.0
+    return masks, fallback
+
+
 def sample_negatives_ep(pred: int, n_classes: int, m: int, rng: np.random.Generator) -> NegativeLabelSet:
     """Uniform m-subset of the K-1 categories other than ``pred``."""
-    _check_m(n_classes, m)
-    candidates = np.delete(np.arange(n_classes), pred)
-    chosen = rng.choice(candidates, size=m, replace=False)
-    mask = np.zeros(n_classes, dtype=np.int8)
-    mask[chosen] = 1
-    return NegativeLabelSet(mask, int(pred))
+    masks, _ = _draw(np.array([pred]), n_classes, m, rng)
+    return NegativeLabelSet(masks[0].astype(np.int8), int(pred))
 
 
 def sample_negatives_epm(
-    pred: int,
-    r_row: np.ndarray,
-    n_classes: int,
-    m: int,
-    rng: np.random.Generator,
+    pred: int, r_row: np.ndarray, n_classes: int, m: int, rng: np.random.Generator
 ) -> NegativeLabelSet:
     """Weighted m-subset, sequential draw-and-renormalise over ``r_row``.
 
-    ``r_row`` is the receiving submodel's rate row for the pseudo label.
-    If the remaining candidate mass is exhausted mid-draw, the rest of the
-    set falls back to a uniform draw and the result is flagged.
+    ``r_row`` is the receiving submodel's rate row for the pseudo label. If
+    the candidate mass runs out mid-draw, the rest of the set is drawn
+    uniformly and the result is flagged.
     """
-    _check_m(n_classes, m)
     r_row = np.asarray(r_row, dtype=np.float64)
     if r_row.shape != (n_classes,):
         raise ConfigError(f"r_row must have shape ({n_classes},), got {r_row.shape}")
-    weights = r_row.copy()
-    weights[pred] = 0.0
-    mask = np.zeros(n_classes, dtype=np.int8)
-    fallback = False
-    for _ in range(m):
-        total = weights.sum()
-        if total <= _MASS_FLOOR:
-            fallback = True
-            remaining = np.flatnonzero((mask == 0) & (np.arange(n_classes) != pred))
-            idx = int(rng.choice(remaining))
-        else:
-            idx = int(rng.choice(n_classes, p=weights / total))
-        mask[idx] = 1
-        weights[idx] = 0.0
-    return NegativeLabelSet(mask, int(pred), fallback)
+    masks, fallback = _draw(np.array([pred]), n_classes, m, rng, r_row[None, :].copy())
+    return NegativeLabelSet(masks[0].astype(np.int8), int(pred), bool(fallback[0]))
 
 
 def sample_negative_batch(
-    probs: np.ndarray,
-    m: int,
-    rng: np.random.Generator,
-    rates: np.ndarray | None = None,
+    probs: np.ndarray, m: int, rng: np.random.Generator, rates: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Negative masks for a whole batch of weak-view probabilities.
+    """(masks B x K, pseudo labels B, fallback count) for weak-view probabilities.
 
-    Returns (masks B x K, pseudo labels B, fallback count). EP when
-    ``rates`` is None, otherwise EPM against the receiver's rate matrix.
+    EP when ``rates`` is None, otherwise EPM against the receiver's rate
+    matrix; masks and RNG stream equal those of row-by-row scalar calls.
     """
     probs = np.asarray(probs, dtype=np.float64)
-    batch, n_classes = probs.shape
-    masks = np.zeros((batch, n_classes), dtype=np.float64)
-    preds = np.empty(batch, dtype=np.int64)
-    fallbacks = 0
-    for b in range(batch):
-        pred = pseudo_label(probs[b])
-        if rates is None:
-            nls = sample_negatives_ep(pred, n_classes, m, rng)
-        else:
-            nls = sample_negatives_epm(pred, rates[pred], n_classes, m, rng)
-            fallbacks += int(nls.fallback)
-        masks[b] = nls.mask
-        preds[b] = pred
-    return masks, preds, fallbacks
+    preds = np.argmax(probs, axis=1)
+    weights = None if rates is None else np.asarray(rates, dtype=np.float64)[preds]
+    masks, fallback = _draw(preds, probs.shape[1], m, rng, weights)
+    return masks, preds, int(fallback.sum())
 
 
 def update_misclass_profile(

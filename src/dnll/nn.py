@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, FormatError, ShapeError
 
 _ACTIVATIONS = ("relu", "tanh")
 
@@ -56,12 +56,12 @@ class Architecture:
 
     @staticmethod
     def from_dict(d: dict) -> "Architecture":
-        return Architecture(
-            input_dim=int(d["input_dim"]),
-            hidden=tuple(int(h) for h in d["hidden"]),
-            n_classes=int(d["n_classes"]),
-            activation=str(d["activation"]),
-        )
+        try:
+            widths = int(d["input_dim"]), tuple(int(h) for h in d["hidden"]), int(d["n_classes"])
+            activation = str(d["activation"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FormatError(f"malformed architecture record: {exc!r}") from exc
+        return Architecture(*widths, activation=activation)
 
 
 @dataclass

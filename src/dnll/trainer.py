@@ -442,9 +442,12 @@ class DualTrainer:
         ckpt_cfg = parse_config(config_text)
         if serialize_config(ckpt_cfg) != serialize_config(replace(self.cfg, epochs=ckpt_cfg.epochs)):
             raise ConfigError("checkpoint config differs from trainer config (epochs aside)")
-        self.model1, self.model2, self.profile1.pr, self.profile2.pr = unpack_state(arch, tensors)
-        self.epoch = int(progress["epoch"])
-        self.global_step = int(progress["global_step"])
-        self.best = dict(progress["best"])
-        self.data_rng = restore_rng(progress["data_rng"])
-        self.sampler_rng = restore_rng(progress["sampler_rng"])
+        state = unpack_state(arch, tensors)
+        try:
+            counters = int(progress["epoch"]), int(progress["global_step"]), dict(progress["best"])
+            rngs = restore_rng(progress["data_rng"]), restore_rng(progress["sampler_rng"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FormatError(f"malformed progress record: {exc!r}") from exc
+        self.model1, self.model2, self.profile1.pr, self.profile2.pr = state
+        self.epoch, self.global_step, self.best = counters
+        self.data_rng, self.sampler_rng = rngs

@@ -25,6 +25,15 @@ def test_roundtrip_bitwise(tmp_path, rng):
         assert np.array_equal(a, b) and a.dtype == b.dtype
 
 
+def test_zero_dim_and_fortran_tensors_keep_shape(tmp_path):
+    path = tmp_path / "c.dnll"
+    tensors = [np.array(2.5), np.arange(6.0).reshape(2, 3).T, np.zeros((0, 4))]
+    save_checkpoint(path, "", {}, tensors, {})
+    _, _, loaded, _ = load_checkpoint(path)
+    for a, b in zip(tensors, loaded):
+        assert a.shape == b.shape and np.array_equal(a, b)
+
+
 def test_bad_magic(tmp_path, rng):
     path = tmp_path / "c.dnll"
     save_checkpoint(path, *sample_payload(rng))

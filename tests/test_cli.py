@@ -159,6 +159,19 @@ def damaged_checkpoint(src, dest, damage: str):
     return dest
 
 
+def checkpoint_argv(command, checkpoint, cfg, data_dir, split_file, tmp_path):
+    """The argv of ``command`` reading ``checkpoint``."""
+    return {
+        "eval": ["eval", "--checkpoint", str(checkpoint), "--data-dir", str(data_dir)],
+        "profile": ["profile", "--checkpoint", str(checkpoint), "--out-dir", str(tmp_path / "p")],
+        "train --resume": [
+            "train", "--config", str(cfg), "--data-dir", str(data_dir),
+            "--split", str(split_file), "--out-dir", str(tmp_path / "o"),
+            "--resume", str(checkpoint),
+        ],
+    }[command]
+
+
 class TestMalformedInputs:
     @pytest.mark.parametrize("command", ["eval", "profile", "train --resume"])
     @pytest.mark.parametrize("damage", ["too_few_tensors", "wrong_shape"])
@@ -167,17 +180,37 @@ class TestMalformedInputs:
     ):
         _, cfg, out = trained
         bad = damaged_checkpoint(out / "checkpoint_last.dnll", tmp_path / "bad.dnll", damage)
-        argv = {
-            "eval": ["eval", "--checkpoint", str(bad), "--data-dir", str(data_dir)],
-            "profile": ["profile", "--checkpoint", str(bad), "--out-dir", str(tmp_path / "p")],
-            "train --resume": [
-                "train", "--config", str(cfg), "--data-dir", str(data_dir),
-                "--split", str(split_file), "--out-dir", str(tmp_path / "o"),
-                "--resume", str(bad),
-            ],
-        }[command]
-        assert main(argv) == 2
+        assert main(checkpoint_argv(command, bad, cfg, data_dir, split_file, tmp_path)) == 2
         assert "tensor" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, section, key", [
+        ("eval", "arch", "hidden"),
+        ("train --resume", "arch", "hidden"),
+        ("train --resume", "progress", "sampler_rng"),
+    ])
+    def test_checkpoint_missing_key_exit_2(
+        self, tmp_path, data_dir, split_file, trained, command, section, key, capsys
+    ):
+        _, cfg, out = trained
+        config_text, arch, tensors, progress = load_checkpoint(out / "checkpoint_last.dnll")
+        del {"arch": arch, "progress": progress}[section][key]
+        bad = tmp_path / "bad.dnll"
+        save_checkpoint(bad, config_text, arch, tensors, progress)
+        assert main(checkpoint_argv(command, bad, cfg, data_dir, split_file, tmp_path)) == 2
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lines", [
+        "seeds.model1 = -1",
+        "augment.weak = crop_flip\naugment.crop_pad = -1",
+    ])
+    def test_out_of_range_config_exit_2(self, tmp_path, data_dir, split_file, trained, lines):
+        _, cfg, _ = trained
+        bad = tmp_path / "bad.txt"
+        bad.write_text(cfg.read_text() + lines + "\n")
+        assert main([
+            "train", "--config", str(bad), "--data-dir", str(data_dir),
+            "--split", str(split_file), "--out-dir", str(tmp_path / "o"),
+        ]) == 2
 
     def test_eval_image_size_mismatch_exit_2(self, tmp_path, data_dir, trained, capsys):
         _, _, out = trained

@@ -83,6 +83,15 @@ def test_bad_mode_rejected():
         parse_config("learning_mode = sideways\n")
 
 
+@pytest.mark.parametrize("line, name", [
+    ("seeds.augment = -1", "seeds.augment"),
+    ("augment.crop_pad = -2", "crop_pad"),
+])
+def test_negative_seed_and_crop_pad_rejected(line, name):
+    with pytest.raises(ConfigError, match=name):
+        parse_config(line + "\n")
+
+
 def test_bad_bool_rejected():
     with pytest.raises(ConfigError, match="nesterov"):
         parse_config("optimizer.nesterov = maybe\n")

@@ -276,6 +276,23 @@ def _exact_subset_probs(r_row, m):
     return probs
 
 
+def _choice_reference(probs, m, rng, rates):
+    """Row loop over ``Generator.choice``: the sampler's draws without fallback."""
+    k = probs.shape[1]
+    masks = np.zeros(probs.shape)
+    for b, pred in enumerate(np.argmax(probs, axis=1)):
+        if rates is None:
+            masks[b, rng.choice(np.delete(np.arange(k), pred), size=m, replace=False)] = 1.0
+            continue
+        weights = rates[pred].copy()
+        weights[pred] = 0.0
+        for _ in range(m):
+            idx = rng.choice(k, p=weights / weights.sum())
+            masks[b, idx] = 1.0
+            weights[idx] = 0.0
+    return masks
+
+
 class TestBatchSamplerPinned:
     """The batch sampler's masks and RNG consumption, pinned bit for bit."""
 
@@ -328,6 +345,24 @@ class TestBatchSamplerPinned:
         assert fallbacks == row_fallbacks
         assert batch_rng.bit_generator.state == row_rng.bit_generator.state
 
+    @pytest.mark.parametrize("mode", ["EP", "EPM"])
+    def test_batch_matches_choice_reference_fuzz(self, mode):
+        gen = np.random.default_rng(606)
+        for _ in range(150):
+            k = int(gen.integers(2, 60))
+            m = int(gen.integers(1, k))
+            probs = np.round(gen.random((int(gen.integers(1, 40)), k)), 1)  # ties too
+            rates = None
+            if mode == "EPM":
+                pr = gen.random((k, k)) * gen.choice([1.0, 20.0])
+                rates = np.stack([normalize_profile(pr[c], c) for c in range(k)])
+            seed = int(gen.integers(0, 2**32))
+            batch_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            masks, _, fallbacks = sample_negative_batch(probs, m, batch_rng, rates)
+            assert fallbacks == 0
+            assert np.array_equal(masks, _choice_reference(probs, m, ref_rng, rates))
+            assert batch_rng.bit_generator.state == ref_rng.bit_generator.state
+
     @pytest.mark.parametrize("k, m, pred, row", [
         (5, 2, 0, [0.0, 0.4, 0.3, 0.2, 0.1]),
         (6, 3, 2, [0.35, 0.25, 0.0, 0.2, 0.12, 0.08]),
@@ -350,6 +385,15 @@ class TestBatchSamplerPinned:
         assert sum(counts) == n
         res = stats.chisquare(counts, f_exp=[n * exact[s] for s in subsets])
         assert res.pvalue > 0.01
+
+    @pytest.mark.parametrize("bad", [-0.1, np.nan, np.inf])
+    def test_negative_or_nan_rates_rejected(self, rng, bad):
+        r = np.array([0.0, 0.5, 0.5, 0.0])
+        r[3] = bad
+        with pytest.raises(ValueError):
+            sample_negatives_epm(0, r, 4, 2, rng)
+        with pytest.raises(ValueError):
+            sample_negative_batch(np.eye(4)[[0, 1]], 2, rng, np.tile(r, (4, 1)))
 
     def test_fallback_rows_mixed_with_normal_rows(self):
         k, m = 6, 3
