@@ -187,6 +187,43 @@ class TestCouplingSimulation:
             simulate_coupling(TransferModel(0.5, 4, 3, trials=50_000))
 
 
+class TestLabStreamsPinned:
+    """Exact estimates at fixed seeds: the lab's draws, pinned bit for bit.
+
+    Coupled or contradicting rounds out of 200,000 trials (one shard).
+    """
+
+    TRIALS = 200_000
+
+    @pytest.mark.parametrize("q, k, m, seed, count", [
+        (0.3, 3, 1, 11, 70360),
+        (0.5, 10, 2, 12, 22342),
+        (0.0, 100, 3, 13, 6058),
+        (0.9, 10, 3, 14, 6596),
+        (0.2, 100, 1, 15, 1613),
+    ])
+    def test_transfer_error(self, q, k, m, seed, count):
+        res = simulate_transfer_error(TransferModel(q, k, m, trials=self.TRIALS, seed=seed))
+        assert res.estimate == count / self.TRIALS
+
+    @pytest.mark.parametrize("shared_pool, q, k, m, seed, count", [
+        (True, 0.5, 3, 1, 21, 150040),
+        (True, 0.3, 10, 2, 22, 6669),
+        (True, 0.1, 10, 3, 23, 3404),
+        (True, 0.0, 100, 1, 24, 2028),
+        (True, 0.6, 100, 2, 25, 48),
+        (False, 0.5, 3, 1, 21, 75222),
+        (False, 0.3, 10, 2, 22, 4638),
+        (False, 0.1, 10, 3, 23, 1670),
+        (False, 0.0, 100, 1, 24, 1987),
+        (False, 0.6, 100, 2, 25, 46),
+    ])
+    def test_coupling(self, shared_pool, q, k, m, seed, count):
+        model = TransferModel(q, k, m, trials=self.TRIALS, seed=seed)
+        res = simulate_coupling(model, shared_pool=shared_pool)
+        assert res.estimate == count / self.TRIALS
+
+
 class TestSampleDistinct:
     def test_rows_distinct_and_in_range(self):
         rng = np.random.default_rng(0)
