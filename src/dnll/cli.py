@@ -44,7 +44,7 @@ from .errors import DnllError, NumericError
 from .negative_labels import MisclassProfile
 from .nn import Architecture
 from .synthetic import synthetic_digits
-from .theory import TransferModel, run_grid, simulate_coupling, simulate_transfer_error
+from .theory import run_grid, simulate_row
 from .trainer import DualTrainer, TrainData, evaluate, evaluate_ensemble, unpack_state
 
 THEORY_CSV_HEADER = "q,K,m,trials,closed_form,estimate,standard_error,z_score"
@@ -203,23 +203,10 @@ def cmd_profile(args) -> int:
 
 def cmd_theory(args) -> int:
     workers = n_workers()
-    rows = []
     if args.grid:
         rows = run_grid(args.theorem, trials=args.trials, seed=args.seed, workers=workers)
     else:
-        model = TransferModel(args.q, args.K, args.m, trials=args.trials, seed=args.seed)
-        res = (
-            simulate_transfer_error(model, workers=workers)
-            if args.theorem == 1
-            else simulate_coupling(model, workers=workers)
-        )
-        rows = [
-            {
-                "q": args.q, "K": args.K, "m": args.m, "trials": args.trials,
-                "closed_form": res.closed_form, "estimate": res.estimate,
-                "standard_error": res.standard_error, "z_score": res.z_score,
-            }
-        ]
+        rows = [simulate_row(args.theorem, args.q, args.K, args.m, args.trials, args.seed, workers)]
     lines = [THEORY_CSV_HEADER]
     for r in rows:
         lines.append(

@@ -85,44 +85,65 @@ def _check_m(n_classes: int, m: int) -> None:
         )
 
 
-def _draw(preds: np.ndarray, n_classes: int, m: int, rng: np.random.Generator, weights=None):
-    """Negative masks (B x K) and per-row fallback flags: the one sampler.
+def uniform_subsets(rng: np.random.Generator, n_range: int, m: int, size: int) -> np.ndarray:
+    """(size, m) rows of m distinct uniform integers from [0, n_range).
 
-    EP (``weights`` None) keeps one ``Generator.choice(K-1, m, replace=False)``
-    per row: its Floyd + shuffle stream has no bulk form. EPM (``weights`` B x K,
-    changed in place) inverts ``u[:, j]`` through each row's renormalised CDF as
+    Draw j takes one ``integers(0, n_range - j)`` for every row: an index
+    among the values that draws 0..j-1 left free. Stepping every later draw
+    past draw k, for k from the last draw down to the first, maps them into
+    [0, n_range). Each row is a uniform random m-subset.
+    """
+    picks = np.empty((m, size), dtype=np.int64)
+    for j in range(m):
+        picks[j] = rng.integers(0, n_range - j, size=size)
+    for k in range(m - 2, -1, -1):
+        picks[k + 1 :] += picks[k + 1 :] >= picks[k]
+    return picks.T
+
+
+def draw_negatives(preds: np.ndarray, n_classes: int, m: int, rng: np.random.Generator, weights=None):
+    """Negative picks (B x m) and per-row fallback flags: the one sampler.
+
+    EP (``weights`` None) maps a uniform m-subset of the K-1 candidates past
+    each pseudo label. EPM (``weights`` B x K, changed in place) inverts
+    ``u[:, j]`` through each row's renormalised CDF as
     ``Generator.choice(K, p=...)`` does; exhausted rows go uniform over the rest.
     """
     _check_m(n_classes, m)
-    rows = np.arange(len(preds))
-    masks = np.zeros((len(preds), n_classes))
     fallback = np.zeros(len(preds), dtype=bool)
     if weights is None:
-        for b, pred in enumerate(preds):
-            idx = rng.choice(n_classes - 1, size=m, replace=False)
-            masks[b, idx + (idx >= pred)] = 1.0
-        return masks, fallback
+        picks = uniform_subsets(rng, n_classes - 1, m, len(preds))
+        picks += picks >= preds[:, None]
+        return picks, fallback
     if not ((weights >= 0.0) & np.isfinite(weights)).all():
         raise ConfigError("EPM rates must be finite non-negative numbers")
+    rows = np.arange(len(preds))
+    picks = np.empty((len(preds), m), dtype=np.int64)
     weights[rows, preds] = 0.0
     u = rng.random((len(preds), m, 1))
     for j in range(m):
         empty = weights.sum(axis=1) <= _MASS_FLOOR
         if empty.any():
             fallback |= empty
-            weights[empty] = (masks[empty] == 0.0) & (np.arange(n_classes) != preds[empty, None])
+            weights[empty] = 1.0
+            weights[rows[empty, None], np.c_[preds, picks[:, :j]][empty]] = 0.0
         cdf = (weights / weights.sum(axis=1, keepdims=True)).cumsum(axis=1)
         cdf /= cdf[:, -1:]
-        picks = (cdf <= u[:, j]).sum(axis=1)
-        masks[rows, picks] = 1.0
-        weights[rows, picks] = 0.0
-    return masks, fallback
+        picks[:, j] = (cdf <= u[:, j]).sum(axis=1)
+        weights[rows, picks[:, j]] = 0.0
+    return picks, fallback
+
+
+def _masks(picks: np.ndarray, n_classes: int, dtype=np.float64) -> np.ndarray:
+    masks = np.zeros((len(picks), n_classes), dtype=dtype)
+    masks[np.arange(len(picks))[:, None], picks] = 1
+    return masks
 
 
 def sample_negatives_ep(pred: int, n_classes: int, m: int, rng: np.random.Generator) -> NegativeLabelSet:
     """Uniform m-subset of the K-1 categories other than ``pred``."""
-    masks, _ = _draw(np.array([pred]), n_classes, m, rng)
-    return NegativeLabelSet(masks[0].astype(np.int8), int(pred))
+    picks, _ = draw_negatives(np.array([pred]), n_classes, m, rng)
+    return NegativeLabelSet(_masks(picks, n_classes, np.int8)[0], int(pred))
 
 
 def sample_negatives_epm(
@@ -137,8 +158,8 @@ def sample_negatives_epm(
     r_row = np.asarray(r_row, dtype=np.float64)
     if r_row.shape != (n_classes,):
         raise ConfigError(f"r_row must have shape ({n_classes},), got {r_row.shape}")
-    masks, fallback = _draw(np.array([pred]), n_classes, m, rng, r_row[None, :].copy())
-    return NegativeLabelSet(masks[0].astype(np.int8), int(pred), bool(fallback[0]))
+    picks, fallback = draw_negatives(np.array([pred]), n_classes, m, rng, r_row[None, :].copy())
+    return NegativeLabelSet(_masks(picks, n_classes, np.int8)[0], int(pred), bool(fallback[0]))
 
 
 def sample_negative_batch(
@@ -147,13 +168,15 @@ def sample_negative_batch(
     """(masks B x K, pseudo labels B, fallback count) for weak-view probabilities.
 
     EP when ``rates`` is None, otherwise EPM against the receiver's rate
-    matrix; masks and RNG stream equal those of row-by-row scalar calls.
+    matrix. EPM masks and RNG stream equal those of row-by-row scalar calls;
+    an EP batch draws its rows column by column, so only a 1-row batch
+    equals a scalar call.
     """
     probs = np.asarray(probs, dtype=np.float64)
     preds = np.argmax(probs, axis=1)
     weights = None if rates is None else np.asarray(rates, dtype=np.float64)[preds]
-    masks, fallback = _draw(preds, probs.shape[1], m, rng, weights)
-    return masks, preds, int(fallback.sum())
+    picks, fallback = draw_negatives(preds, probs.shape[1], m, rng, weights)
+    return _masks(picks, probs.shape[1]), preds, int(fallback.sum())
 
 
 def update_misclass_profile(

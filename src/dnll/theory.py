@@ -11,9 +11,11 @@ where q is the probability they predict alike. Its large-K limit is
 sqrt(2*pi*m) * (m/(e*K))**m.
 
 The simulators draw the generative stories directly (never the closed
-forms) so agreement between the two is evidence, not tautology. Trials run
-in fixed-size shards with per-shard child seeds and are aggregated by exact
-summation, so estimates do not depend on how shards are scheduled.
+forms) so agreement between the two is evidence, not tautology. They take
+every negative draw from ``negative_labels``, the sampler training uses,
+so the checks cover the trainer's EP draw. Trials run in fixed-size
+shards with per-shard child seeds and are aggregated by exact summation,
+so estimates do not depend on how shards are scheduled.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
+from .negative_labels import draw_negatives, uniform_subsets
 
 SHARD = 200_000
 
@@ -95,23 +98,6 @@ def coupling_probability_stirling(n_classes: int, m: int) -> float:
     return math.sqrt(2.0 * math.pi * m) * (m / (math.e * n_classes)) ** m
 
 
-def _sample_distinct(rng: np.random.Generator, n_range: int, m: int, size: int) -> np.ndarray:
-    """(size, m) rows of m distinct uniform integers from [0, n_range).
-
-    Draw j-th index uniformly from the n_range - j values not yet taken,
-    then shift it past the already-chosen ones in sorted order. Each row is
-    a uniform random m-subset.
-    """
-    picks = np.empty((size, m), dtype=np.int64)
-    for j in range(m):
-        r = rng.integers(0, n_range - j, size=size)
-        prev = np.sort(picks[:, :j], axis=1)
-        for t in range(j):
-            r += r >= prev[:, t]
-        picks[:, j] = r
-    return picks
-
-
 def _shard_seeds(seed: int, trials: int) -> list[tuple[np.random.SeedSequence, int]]:
     shards = []
     root = np.random.SeedSequence(seed)
@@ -153,10 +139,8 @@ def simulate_transfer_error(model: TransferModel, workers: int = 1) -> SimResult
         n_wrong = int(wrong.sum())
         if not n_wrong:
             return 0
-        # Candidate list excludes pred; position of the true class in it.
-        true_pos = true[wrong] - (true[wrong] > pred[wrong])
-        negs = _sample_distinct(rng, k - 1, m, n_wrong)
-        return int((negs == true_pos[:, None]).any(axis=1).sum())
+        negs, _ = draw_negatives(pred[wrong], k, m, rng)
+        return int((negs == true[wrong][:, None]).any(axis=1).sum())
 
     errors = _run_shards(shard, model.seed, model.trials, workers)
     return _result(errors, model, transfer_error_rate(model.q, k, m))
@@ -188,21 +172,19 @@ def simulate_coupling(model: TransferModel, shared_pool: bool = True, workers: i
         n_diff = n - n_same
         coupled = 0
         if n_same:
-            a = np.sort(_sample_distinct(rng, k - 1, m, n_same), axis=1)
-            b = np.sort(_sample_distinct(rng, k - 1, m, n_same), axis=1)
+            a = np.sort(uniform_subsets(rng, k - 1, m, n_same), axis=1)
+            b = np.sort(uniform_subsets(rng, k - 1, m, n_same), axis=1)
             coupled += int((a == b).all(axis=1).sum())
         if n_diff:
             if shared_pool:
-                a = np.sort(_sample_distinct(rng, k - 2, m, n_diff), axis=1)
-                b = np.sort(_sample_distinct(rng, k - 2, m, n_diff), axis=1)
+                a = np.sort(uniform_subsets(rng, k - 2, m, n_diff), axis=1)
+                b = np.sort(uniform_subsets(rng, k - 2, m, n_diff), axis=1)
                 coupled += int((a == b).all(axis=1).sum())
             else:
                 pred1 = rng.integers(0, k, size=n_diff)
                 pred2 = (pred1 + rng.integers(1, k, size=n_diff)) % k
-                a = _sample_distinct(rng, k - 1, m, n_diff)
-                b = _sample_distinct(rng, k - 1, m, n_diff)
-                a = np.sort(a + (a >= pred1[:, None]), axis=1)
-                b = np.sort(b + (b >= pred2[:, None]), axis=1)
+                a = np.sort(draw_negatives(pred1, k, m, rng)[0], axis=1)
+                b = np.sort(draw_negatives(pred2, k, m, rng)[0], axis=1)
                 coupled += int((a == b).all(axis=1).sum())
         return coupled
 
@@ -219,6 +201,25 @@ def _result(count: int, model: TransferModel, closed_form: float) -> SimResult:
     n = model.trials
     se = math.sqrt(closed_form * (1.0 - closed_form) / n)
     return SimResult(estimate=count / n, standard_error=se, trials=n, closed_form=closed_form)
+
+
+def simulate_row(
+    theorem: int, q: float, k: int, m: int, trials: int, seed: int, workers: int = 1
+) -> dict:
+    """Simulate one (q, K, m) cell of a theorem; the row matches the CSV contract."""
+    model = TransferModel(q, k, m, trials=trials, seed=seed)
+    simulate = simulate_transfer_error if theorem == 1 else simulate_coupling
+    res = simulate(model, workers=workers)
+    return {
+        "q": q,
+        "K": k,
+        "m": m,
+        "trials": trials,
+        "closed_form": res.closed_form,
+        "estimate": res.estimate,
+        "standard_error": res.standard_error,
+        "z_score": res.z_score,
+    }
 
 
 DEFAULT_GRID_Q = (0.0, 0.3, 0.5, 0.9, 1.0)
@@ -244,23 +245,5 @@ def run_grid(
             limit = k - 1 if theorem == 1 else k - 2
             if m > limit:
                 continue
-            for q in qs:
-                model = TransferModel(q, k, m, trials=trials, seed=seed)
-                res = (
-                    simulate_transfer_error(model, workers=workers)
-                    if theorem == 1
-                    else simulate_coupling(model, workers=workers)
-                )
-                rows.append(
-                    {
-                        "q": q,
-                        "K": k,
-                        "m": m,
-                        "trials": trials,
-                        "closed_form": res.closed_form,
-                        "estimate": res.estimate,
-                        "standard_error": res.standard_error,
-                        "z_score": res.z_score,
-                    }
-                )
+            rows += [simulate_row(theorem, q, k, m, trials, seed, workers) for q in qs]
     return rows

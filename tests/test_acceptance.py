@@ -30,6 +30,7 @@ from dnll.errors import FormatError, LengthError
 from dnll.losses import cross_entropy, negative_loss, one_hot
 from dnll.negative_labels import (
     normalize_profile,
+    sample_negative_batch,
     sample_negatives_ep,
     sample_negatives_epm,
 )
@@ -178,21 +179,22 @@ def test_criterion_4_negative_label_invariants():
         assert nls.mask.sum() == m
         assert nls.mask[pred] == 0
 
-    n = 1_000_000
+    # The 10^6-sample tables: 10 batches of 10^5 identical rows.
+    n, chunk = 1_000_000, 100_000
     k, pred = 10, 3
-    ep_counts = np.zeros(k)
-    rng_ep = np.random.default_rng(78)
-    for _ in range(n):
-        ep_counts += sample_negatives_ep(pred, k, 1, rng_ep).mask
+    probs = np.tile(np.eye(k)[pred], (chunk, 1))
+
+    def counts(rng, rates=None):
+        batches = (sample_negative_batch(probs, 1, rng, rates)[0] for _ in range(n // chunk))
+        return sum(masks.sum(axis=0) for masks in batches)
+
+    ep_counts = counts(np.random.default_rng(78))
     candidates = np.arange(k) != pred
     chi = stats.chisquare(ep_counts[candidates])
     assert chi.pvalue > 0.01, f"EP uniformity p={chi.pvalue}"
 
-    uniform = normalize_profile(np.zeros(k), pred)
-    epm_counts = np.zeros(k)
-    rng_epm = np.random.default_rng(79)
-    for _ in range(n):
-        epm_counts += sample_negatives_epm(pred, uniform, k, 1, rng_epm).mask
+    uniform = np.stack([normalize_profile(np.zeros(k), c) for c in range(k)])
+    epm_counts = counts(np.random.default_rng(79), uniform)
     table = np.stack([ep_counts[candidates], epm_counts[candidates]])
     two = stats.chi2_contingency(table)
     assert two.pvalue > 0.01, f"EPM-vs-EP p={two.pvalue}"

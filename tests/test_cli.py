@@ -354,7 +354,7 @@ class TestTheory:
             return SimResult(estimate=0.5, standard_error=0.001, trials=model.trials,
                              closed_form=0.1)
 
-        monkeypatch.setattr("dnll.cli.simulate_transfer_error", rigged)
+        monkeypatch.setattr("dnll.theory.simulate_transfer_error", rigged)
         assert main([
             "theory", "--theorem", "1", "--q", "0.5", "--K", "10", "--m", "1",
             "--trials", "10000",

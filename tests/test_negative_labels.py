@@ -18,6 +18,7 @@ from dnll.negative_labels import (
     sample_negative_batch,
     sample_negatives_ep,
     sample_negatives_epm,
+    uniform_subsets,
     update_misclass_profile,
 )
 
@@ -230,6 +231,31 @@ class TestNormalizeProfile:
         assert np.all(rates >= 0.0)
 
 
+class TestUniformSubsets:
+    def test_rows_distinct_and_in_range(self):
+        rng = np.random.default_rng(0)
+        picks = uniform_subsets(rng, 7, 3, 5000)
+        assert picks.min() >= 0 and picks.max() < 7
+        for row in picks:
+            assert len(set(row.tolist())) == 3
+
+    def test_subsets_uniform(self):
+        # All C(5,2) = 10 subsets equally likely (chi-square p > 0.01).
+        rng = np.random.default_rng(1)
+        picks = np.sort(uniform_subsets(rng, 5, 2, 100_000), axis=1)
+        keys = picks[:, 0] * 5 + picks[:, 1]
+        _, counts = np.unique(keys, return_counts=True)
+        assert len(counts) == 10
+        assert stats.chisquare(counts).pvalue > 0.01
+
+    @pytest.mark.parametrize("n_range, m, size", [(1, 1, 3), (7, 3, 0), (99, 98, 4), (12, 5, 2000)])
+    def test_equals_reference(self, n_range, m, size):
+        rng, ref_rng = np.random.default_rng(41), np.random.default_rng(41)
+        picks = uniform_subsets(rng, n_range, m, size)
+        assert np.array_equal(picks, _sample_distinct(ref_rng, n_range, m, size))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 class TestBatchSampler:
     def test_masks_and_preds(self, rng):
         probs = np.array([[0.7, 0.2, 0.1], [0.1, 0.1, 0.8]])
@@ -277,19 +303,37 @@ def _exact_subset_probs(r_row, m):
 
 
 def _choice_reference(probs, m, rng, rates):
-    """Row loop over ``Generator.choice``: the sampler's draws without fallback."""
+    """EPM row loop over ``Generator.choice``: the sampler's draws without fallback."""
     k = probs.shape[1]
     masks = np.zeros(probs.shape)
     for b, pred in enumerate(np.argmax(probs, axis=1)):
-        if rates is None:
-            masks[b, rng.choice(np.delete(np.arange(k), pred), size=m, replace=False)] = 1.0
-            continue
         weights = rates[pred].copy()
         weights[pred] = 0.0
         for _ in range(m):
             idx = rng.choice(k, p=weights / weights.sum())
             masks[b, idx] = 1.0
             weights[idx] = 0.0
+    return masks
+
+
+def _sample_distinct(rng, n_range, m, size):
+    """The theory lab's original subset draw, kept as the reference."""
+    picks = np.empty((size, m), dtype=np.int64)
+    for j in range(m):
+        r = rng.integers(0, n_range - j, size=size)
+        prev = np.sort(picks[:, :j], axis=1)
+        for t in range(j):
+            r += r >= prev[:, t]
+        picks[:, j] = r
+    return picks
+
+
+def _uniform_subset_reference(probs, m, rng):
+    """EP batch: the reference subset draw, shifted past the pseudo label."""
+    preds = np.argmax(probs, axis=1)
+    idx = _sample_distinct(rng, probs.shape[1] - 1, m, len(probs))
+    masks = np.zeros(probs.shape)
+    masks[np.arange(len(probs))[:, None], idx + (idx >= preds[:, None])] = 1.0
     return masks
 
 
@@ -303,8 +347,8 @@ class TestBatchSamplerPinned:
             {"state": 239159585474808836303822614364012207704, "has_uint32": 0, "uinteger": 0},
         ),
         "EP": (
-            "3e78871bb1dff87b27a2d64d0c7c7bf057e6e8cb2614c705301467b6c1181108",
-            {"state": 127897509167912202604121535178466097251, "has_uint32": 0, "uinteger": 1869533961},
+            "cd346fe770c7591c135fd3dffd47e0015ca131f4351adf4ca9f16476b189698b",
+            {"state": 22255114541884444095077137227268356245, "has_uint32": 0, "uinteger": 2034872327},
         ),
     }
 
@@ -326,12 +370,16 @@ class TestBatchSamplerPinned:
 
     @pytest.mark.parametrize("mode", ["EP", "EPM"])
     def test_batch_equals_scalar_calls(self, mode):
+        # An EPM batch equals row-by-row calls. An EP batch draws column by
+        # column, so one 1-row batch per row equals them, and the whole
+        # batch equals the uniform-subset reference on the same seed.
         probs, rates = _golden_inputs()
         rates[[0, 5]] = 0.0  # rows that exhaust their mass fall back
+        rates = rates if mode == "EPM" else None
         batch_rng, row_rng = np.random.default_rng(8), np.random.default_rng(8)
-        masks, preds, fallbacks = sample_negative_batch(
-            probs, 3, batch_rng, rates if mode == "EPM" else None
-        )
+        batches = [probs] if mode == "EPM" else np.split(probs, len(probs))
+        drawn = [sample_negative_batch(batch, 3, batch_rng, rates) for batch in batches]
+        masks, preds = np.concatenate([d[0] for d in drawn]), np.concatenate([d[1] for d in drawn])
         row_fallbacks = 0
         for b, row in enumerate(probs):
             pred = pseudo_label(row)
@@ -342,8 +390,13 @@ class TestBatchSamplerPinned:
             row_fallbacks += int(nls.fallback)
             assert preds[b] == pred
             assert np.array_equal(masks[b], nls.mask)
-        assert fallbacks == row_fallbacks
+        assert sum(d[2] for d in drawn) == row_fallbacks
         assert batch_rng.bit_generator.state == row_rng.bit_generator.state
+        if mode == "EP":
+            batch_rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+            masks, _, _ = sample_negative_batch(probs, 3, batch_rng)
+            assert np.array_equal(masks, _uniform_subset_reference(probs, 3, ref_rng))
+            assert batch_rng.bit_generator.state == ref_rng.bit_generator.state
 
     @pytest.mark.parametrize("mode", ["EP", "EPM"])
     def test_batch_matches_choice_reference_fuzz(self, mode):
@@ -360,21 +413,30 @@ class TestBatchSamplerPinned:
             batch_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             masks, _, fallbacks = sample_negative_batch(probs, m, batch_rng, rates)
             assert fallbacks == 0
-            assert np.array_equal(masks, _choice_reference(probs, m, ref_rng, rates))
+            if mode == "EP":
+                expected = _uniform_subset_reference(probs, m, ref_rng)
+            else:
+                expected = _choice_reference(probs, m, ref_rng, rates)
+            assert np.array_equal(masks, expected)
             assert batch_rng.bit_generator.state == ref_rng.bit_generator.state
 
     @pytest.mark.parametrize("k, m, pred, row", [
         (5, 2, 0, [0.0, 0.4, 0.3, 0.2, 0.1]),
         (6, 3, 2, [0.35, 0.25, 0.0, 0.2, 0.12, 0.08]),
+        (10, 3, 4, None),  # EP: each subset has probability 1 / C(K-1, m)
     ])
     def test_exact_small_k_subset_frequencies(self, k, m, pred, row):
         # Every m-subset against the exact sequential-draw probabilities.
-        row = np.array(row)
-        exact = _exact_subset_probs(row, m)
+        if row is None:
+            rates = None
+            others = [c for c in range(k) if c != pred]
+            exact = {s: 1.0 / math.comb(k - 1, m) for s in itertools.combinations(others, m)}
+        else:
+            rates = np.tile(row, (k, 1))
+            exact = _exact_subset_probs(np.array(row), m)
         assert sum(exact.values()) == pytest.approx(1.0, abs=1e-12)
         n = 20_000
         probs = np.tile(np.eye(k)[pred], (n, 1))
-        rates = np.tile(row, (k, 1))
         masks, preds, fallbacks = sample_negative_batch(
             probs, m, np.random.default_rng(97), rates
         )

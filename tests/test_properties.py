@@ -6,7 +6,7 @@ traceback.
 """
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from dnll.checkpoint import load_checkpoint, save_checkpoint
@@ -17,7 +17,10 @@ from dnll.nn import Architecture, init_model
 from dnll.trainer import pack_state, unpack_state
 
 FAST = settings(
-    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    max_examples=60,
+    deadline=None,
+    derandomize=True,  # the same examples on every run
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 
 CONFIG_KEYS = [line.split(" = ")[0] for line in serialize_config(TrainConfig()).splitlines()]
@@ -99,8 +102,19 @@ def state_tensors(draw):
     return arch, [np.zeros(shape) for shape in layout]
 
 
+def zero_d_bias_case():
+    """A valid layout with a 0-d tensor in place of the first bias."""
+    arch = Architecture(input_dim=1, hidden=(1,), n_classes=2)
+    model = init_model(arch, 0)
+    pr = np.zeros((2, 2))
+    tensors = [np.zeros(t.shape) for t in pack_state(model, model, pr, pr)]
+    tensors[len(model.weights)] = np.zeros(())
+    return arch, tensors
+
+
 @FAST
 @given(state_tensors())
+@example(case=zero_d_bias_case())
 def test_unpack_state_returns_or_raises_format_error(tmp_path, case):
     arch, tensors = case
     path = tmp_path / "c.dnll"

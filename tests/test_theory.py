@@ -3,13 +3,11 @@
 import itertools
 import math
 
-import numpy as np
 import pytest
 
 from dnll.errors import ConfigError
 from dnll.theory import (
     TransferModel,
-    _sample_distinct,
     coupling_probability,
     coupling_probability_stirling,
     run_grid,
@@ -222,26 +220,6 @@ class TestLabStreamsPinned:
         model = TransferModel(q, k, m, trials=self.TRIALS, seed=seed)
         res = simulate_coupling(model, shared_pool=shared_pool)
         assert res.estimate == count / self.TRIALS
-
-
-class TestSampleDistinct:
-    def test_rows_distinct_and_in_range(self):
-        rng = np.random.default_rng(0)
-        picks = _sample_distinct(rng, 7, 3, 5000)
-        assert picks.min() >= 0 and picks.max() < 7
-        for row in picks:
-            assert len(set(row.tolist())) == 3
-
-    def test_subsets_uniform(self):
-        # All C(5,2) = 10 subsets equally likely (chi-square p > 0.01).
-        from scipy import stats
-
-        rng = np.random.default_rng(1)
-        picks = np.sort(_sample_distinct(rng, 5, 2, 100_000), axis=1)
-        keys = picks[:, 0] * 5 + picks[:, 1]
-        _, counts = np.unique(keys, return_counts=True)
-        assert len(counts) == 10
-        assert stats.chisquare(counts).pvalue > 0.01
 
 
 class TestGridAndModel:
