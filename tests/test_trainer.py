@@ -307,3 +307,78 @@ class TestEpmIntegration:
         w1 = trainer2._labeled_view(idx, 1)
         w2 = trainer2._labeled_view(idx, 2)
         assert not np.array_equal(w1, w2)
+
+
+def record_schedule(monkeypatch, trainer):
+    """Run one epoch and read back its draw schedule.
+
+    Every array that ``forward``/``softmax`` return is tagged with its
+    submodel (1 or 2) and every sampled mask batch with its call index, so
+    the record says which submodel's weak probabilities each sampler call
+    got, whose rates it used, and which sets each receiver's losses read.
+    """
+    import dnll.trainer as tr
+
+    real = (tr.forward, tr.softmax, tr.sample_negative_batch, tr.negative_loss)
+    rates = {"rates1": trainer.profile1.rates(), "rates2": trainer.profile2.rates()}
+    model_of, set_of, keep = {}, {}, []  # keep holds the tagged arrays so ids stay unique
+    calls, used = [], {1: [], 2: []}
+
+    def forward(model, x):
+        logits, cache = real[0](model, x)
+        model_of[id(logits)] = 1 if model is trainer.model1 else 2
+        keep.append(logits)
+        return logits, cache
+
+    def softmax(logits):
+        probs = real[1](logits)
+        model_of[id(probs)] = model_of[id(logits)]
+        keep.append(probs)
+        return probs
+
+    def sample(probs, m, rng, r=None):
+        out = real[2](probs, m, rng, r)
+        whose = None if r is None else next(k for k, v in rates.items() if np.array_equal(v, r))
+        calls.append((f"g{model_of[id(probs)]}", whose))
+        set_of[id(out[0])] = len(calls) - 1
+        keep.append(out[0])
+        return out
+
+    def loss(probs, masks):
+        used[model_of[id(probs)]].append(set_of[id(masks)])
+        return real[3](probs, masks)
+
+    for name, fn in zip(("forward", "softmax", "sample_negative_batch", "negative_loss"),
+                        (forward, softmax, sample, loss)):
+        monkeypatch.setattr(tr, name, fn)
+    trainer.train_epoch()
+    return calls, used
+
+
+class TestDrawSchedule:
+    """Pins, per batch, the (generator, receiver) order of negative-set draws
+    and which set each receiver's cross and self losses score against."""
+
+    G1, G2 = ("g1", None), ("g2", None)
+
+    @pytest.mark.parametrize("selection, mode, lam, calls, used", [
+        ("EP", "mutual", 1.0, [G1, G2], {1: [1], 2: [0]}),
+        ("EP", "self_only", 1.0, [G1, G2], {1: [0], 2: [1]}),
+        ("EP", "mutual_plus_self", 1.0, [G1, G2], {1: [1, 0], 2: [0, 1]}),
+        ("EPM", "mutual", 1.0, [("g1", "rates2"), ("g2", "rates1")], {1: [1], 2: [0]}),
+        ("EPM", "self_only", 1.0, [("g1", "rates1"), ("g2", "rates2")], {1: [0], 2: [1]}),
+        ("EPM", "mutual_plus_self", 1.0,
+         [("g1", "rates2"), ("g2", "rates1"), ("g1", "rates1"), ("g2", "rates2")],
+         {1: [1, 2], 2: [0, 3]}),
+        ("EP", "supervised", 1.0, [], {1: [], 2: []}),
+        ("EPM", "supervised", 1.0, [], {1: [], 2: []}),
+        ("EP", "mutual_plus_self", 0.0, [], {1: [], 2: []}),
+        ("EPM", "mutual_plus_self", 0.0, [], {1: [], 2: []}),
+    ])
+    def test_one_batch_of_epoch_one(self, monkeypatch, selection, mode, lam, calls, used):
+        cfg = tiny_config(selection_mode=selection, learning_mode=mode, lam=lam, max_unlabeled=10)
+        trainer = DualTrainer(BUNDLE, cfg)
+        assert trainer.batches_per_epoch == 1
+        trainer.train_epoch()
+        assert not np.array_equal(trainer.profile1.rates(), trainer.profile2.rates())
+        assert record_schedule(monkeypatch, trainer) == (calls, used)
