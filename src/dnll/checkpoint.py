@@ -14,12 +14,15 @@ Layout (all integers little-endian):
 
 The CRC is verified before any section is parsed, so a truncated or
 corrupted file raises without yielding partial state. Tensor bytes are
-raw float64, which makes save/load round-trips bit-exact.
+raw float64, which makes save/load round-trips bit-exact. A save writes
+``<path>.tmp`` and renames it over ``path``, so a crash mid-write leaves
+the previous checkpoint loadable.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 import zlib
 from pathlib import Path
@@ -69,7 +72,9 @@ def save_checkpoint(path, config_text: str, arch: dict, tensors: list[np.ndarray
     for payload in sections:
         body += struct.pack("<Q", len(payload)) + payload
     body += struct.pack("<I", zlib.crc32(body))
-    Path(path).write_bytes(body)
+    tmp = Path(f"{path}.tmp")
+    tmp.write_bytes(body)
+    os.replace(tmp, path)
 
 
 def load_checkpoint(path) -> tuple[str, dict, list[np.ndarray], dict]:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import gzip
 import struct
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -74,7 +75,10 @@ class Dataset:
 def _read_bytes(path) -> bytes:
     raw = Path(path).read_bytes()
     if raw[:2] == b"\x1f\x8b":
-        raw = gzip.decompress(raw)
+        try:
+            raw = gzip.decompress(raw)
+        except (gzip.BadGzipFile, EOFError, zlib.error) as exc:
+            raise FormatError(f"{path}: corrupt gzip stream: {exc}") from exc
     return raw
 
 
@@ -94,7 +98,11 @@ def parse_idx(path) -> np.ndarray:
                 f"{path}: expected {expected} bytes for {count} images, found {len(raw)}"
             )
         pixels = np.frombuffer(raw, dtype=np.uint8, count=count * rows * cols, offset=16)
-        return pixels.reshape(count, rows, cols).astype(np.float64) / 255.0
+        try:
+            pixels = pixels.reshape(count, rows, cols)
+        except ValueError as exc:  # 0 images of rows * cols past numpy's array size limit
+            raise FormatError(f"{path}: image size {rows} x {cols} is too large") from exc
+        return pixels.astype(np.float64) / 255.0
     if magic == LABEL_MAGIC:
         (count,) = struct.unpack(">I", raw[4:8])
         expected = 8 + count

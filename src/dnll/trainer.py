@@ -7,11 +7,15 @@ Per batch, each submodel minimises
       unlabeled view)
 
 where negative-label sets are generated from weak-view predictions with no
-gradient flowing through the generation (the sets are discrete). Under
-mutual learning, each submodel's strong view is scored against the *other*
-submodel's label sets; under self-learning, against its own. Misclass
-profiles for EPM sampling are refreshed from labeled-data mistakes once per
-epoch.
+gradient flowing through the generation (the sets are discrete). Each
+transfer is a (generator, receiver) pair of submodels: the generator's weak
+view yields the sets, the receiver's strong view is scored against them.
+Mutual learning uses the cross pairs (0, 1), (1, 0); self-learning the self
+pairs (0, 0), (1, 1); mutual_plus_self the cross pairs, then the self pairs.
+That is also the sampler's draw order. EP draws one set per generator,
+shared by its cross and self pairs; EPM draws one per pair against the
+receiver's rates. Misclass profiles for EPM sampling are refreshed from
+labeled-data mistakes once per epoch.
 
 Determinism contract: given one config (all five seeds) and one data
 bundle, every run is bit-for-bit identical, including metrics formatting.
@@ -47,6 +51,13 @@ _STREAM_LABELED_1 = 1
 _STREAM_LABELED_2 = 2
 _STREAM_UNLABELED_WEAK = 3
 _STREAM_UNLABELED_STRONG = 4
+
+# (generator, receiver) submodel pairs per learning mode, in draw order.
+_CROSS = ((0, 1), (1, 0))
+_SELF = ((0, 0), (1, 1))
+_PAIRS = {
+    "mutual": _CROSS, "self_only": _SELF, "mutual_plus_self": _CROSS + _SELF, "supervised": (),
+}
 
 
 @dataclass
@@ -230,13 +241,11 @@ class DualTrainer:
 
     def train_epoch(self) -> EpochMetrics:
         cfg = self.cfg
+        models = (self.model1, self.model2)
+        profiles = (self.profile1, self.profile2)
         eff_lam = cfg.effective_lambda(self.epoch)
-        use_unsup = eff_lam != 0.0 and cfg.learning_mode != "supervised"
-        need_cross = use_unsup and cfg.learning_mode in ("mutual", "mutual_plus_self")
-        need_self = use_unsup and cfg.learning_mode in ("self_only", "mutual_plus_self")
-        use_epm = cfg.selection_mode == "EPM"
-        rates1 = self.profile1.rates() if (use_unsup and use_epm) else None
-        rates2 = self.profile2.rates() if (use_unsup and use_epm) else None
+        pairs = _PAIRS[cfg.learning_mode] if eff_lam != 0.0 else ()
+        rates = [p.rates() for p in profiles] if pairs and cfg.selection_mode == "EPM" else None
 
         # Data order is drawn identically in every mode, so degenerate
         # configs (lambda = 0, supervised) stay bitwise-comparable.
@@ -247,7 +256,7 @@ class DualTrainer:
         sums = np.zeros(6)  # sup1, sup2, cross1, cross2, self1, self2
         fallbacks = 0
         epoch_lr = cosine_lr(self.global_step, cfg.optimizer)
-        epm_true, epm_pred1, epm_conf1, epm_pred2, epm_conf2 = [], [], [], [], []
+        epm_true, epm_pred, epm_conf = [], ([], []), ([], [])
 
         for b in range(self.batches_per_epoch):
             u_idx = unl_order[b * self.unlabeled_per_batch : (b + 1) * self.unlabeled_per_batch]
@@ -259,94 +268,54 @@ class DualTrainer:
             lr = cosine_lr(self.global_step, cfg.optimizer)
 
             y_l = self._lab_onehot[l_idx]
-            x_l1 = self._labeled_view(l_idx, _STREAM_LABELED_1)
-            x_l2 = self._labeled_view(l_idx, _STREAM_LABELED_2)
+            epm_true.append(self.data.labeled.labels[l_idx])
+            losses = np.zeros(6)
+            grads = []
+            for i, model in enumerate(models):
+                logits, cache = forward(model, self._labeled_view(l_idx, _STREAM_LABELED_1 + i))
+                probs = softmax(logits)
+                ce = cross_entropy(probs, y_l)
+                grads.append(backprop_from(model, cache, ce.grad_logits))
+                losses[i] = ce.value
+                epm_pred[i].append(np.argmax(probs, axis=1))
+                epm_conf[i].append(probs[np.arange(len(l_idx)), epm_pred[i][-1]])
 
-            logits1, cache1 = forward(self.model1, x_l1)
-            probs1 = softmax(logits1)
-            ce1 = cross_entropy(probs1, y_l)
-            grads1 = backprop_from(self.model1, cache1, ce1.grad_logits)
-
-            logits2, cache2 = forward(self.model2, x_l2)
-            probs2 = softmax(logits2)
-            ce2 = cross_entropy(probs2, y_l)
-            grads2 = backprop_from(self.model2, cache2, ce2.grad_logits)
-
-            true_lab = self.data.labeled.labels[l_idx]
-            epm_true.append(true_lab)
-            epm_pred1.append(np.argmax(probs1, axis=1))
-            epm_conf1.append(probs1[np.arange(len(l_idx)), epm_pred1[-1]])
-            epm_pred2.append(np.argmax(probs2, axis=1))
-            epm_conf2.append(probs2[np.arange(len(l_idx)), epm_pred2[-1]])
-
-            cross1 = cross2 = self1 = self2 = 0.0
-            if use_unsup:
+            if pairs:
                 x_uw, x_us = self._unlabeled_views(u_idx)
-                pw1 = softmax(forward(self.model1, x_uw)[0])
-                pw2 = softmax(forward(self.model2, x_uw)[0])
-
+                weak = [softmax(forward(model, x_uw)[0]) for model in models]
+                strong = [forward(model, x_us) for model in models]
+                strong_probs = [softmax(logits) for logits, _ in strong]
+                unsup_grads = [np.zeros_like(p) for p in strong_probs]
                 # Label generation is gradient-free: only the discrete masks
-                # cross between the submodels. Draw order is fixed.
-                if not use_epm:
-                    masks1, _, _ = sample_negative_batch(pw1, cfg.m, self.sampler_rng)
-                    masks2, _, _ = sample_negative_batch(pw2, cfg.m, self.sampler_rng)
-                    masks1_cross = masks1_self = masks1
-                    masks2_cross = masks2_self = masks2
-                else:
-                    masks1_cross = masks2_cross = masks1_self = masks2_self = None
-                    if need_cross:
-                        # Receiver of generator-1 labels is submodel 2, so the
-                        # draw follows submodel 2's rates (and vice versa).
-                        masks1_cross, _, f1 = sample_negative_batch(pw1, cfg.m, self.sampler_rng, rates2)
-                        masks2_cross, _, f2 = sample_negative_batch(pw2, cfg.m, self.sampler_rng, rates1)
-                        fallbacks += f1 + f2
-                    if need_self:
-                        masks1_self, _, f1 = sample_negative_batch(pw1, cfg.m, self.sampler_rng, rates1)
-                        masks2_self, _, f2 = sample_negative_batch(pw2, cfg.m, self.sampler_rng, rates2)
-                        fallbacks += f1 + f2
+                # pass from generator g to receiver r. Under EP the cross and
+                # self pairs of one generator share its set.
+                masks = {}
+                for g, r in pairs:
+                    key = (g, r if rates else None)
+                    if key not in masks:
+                        masks[key], _, f = sample_negative_batch(
+                            weak[g], cfg.m, self.sampler_rng, rates[r] if rates else None
+                        )
+                        fallbacks += f
+                    nl = negative_loss(strong_probs[r], masks[key])
+                    losses[(2 if g != r else 4) + r] = nl.value
+                    unsup_grads[r] += nl.grad_logits
+                for model, grad, (_, cache), unsup in zip(models, grads, strong, unsup_grads):
+                    grad.add_(backprop_from(model, cache, eff_lam * unsup))
 
-                logits1s, cache1s = forward(self.model1, x_us)
-                p1s = softmax(logits1s)
-                logits2s, cache2s = forward(self.model2, x_us)
-                p2s = softmax(logits2s)
-
-                unsup_grad1 = np.zeros_like(p1s)
-                unsup_grad2 = np.zeros_like(p2s)
-                if need_cross:
-                    nl = negative_loss(p1s, masks2_cross)
-                    cross1 = nl.value
-                    unsup_grad1 += nl.grad_logits
-                    nl = negative_loss(p2s, masks1_cross)
-                    cross2 = nl.value
-                    unsup_grad2 += nl.grad_logits
-                if need_self:
-                    nl = negative_loss(p1s, masks1_self)
-                    self1 = nl.value
-                    unsup_grad1 += nl.grad_logits
-                    nl = negative_loss(p2s, masks2_self)
-                    self2 = nl.value
-                    unsup_grad2 += nl.grad_logits
-                grads1.add_(backprop_from(self.model1, cache1s, eff_lam * unsup_grad1))
-                grads2.add_(backprop_from(self.model2, cache2s, eff_lam * unsup_grad2))
-
-            batch_losses = (ce1.value, ce2.value, cross1, cross2, self1, self2)
-            if not all(np.isfinite(v) for v in batch_losses):
+            if not np.isfinite(losses).all():
                 raise NumericError(
                     f"non-finite loss at epoch {self.epoch} batch {b}: "
-                    f"sup=({ce1.value}, {ce2.value}) cross=({cross1}, {cross2}) "
-                    f"self=({self1}, {self2})"
+                    f"(sup1, sup2, cross1, cross2, self1, self2) = {losses.tolist()}"
                 )
-            sums += batch_losses
-            sgd_step(self.model1, grads1, lr, cfg.optimizer)
-            sgd_step(self.model2, grads2, lr, cfg.optimizer)
+            sums += losses
+            for model, grad in zip(models, grads):
+                sgd_step(model, grad, lr, cfg.optimizer)
             self.global_step += 1
 
-        update_misclass_profile(
-            self.profile1, np.concatenate(epm_true), np.concatenate(epm_pred1), np.concatenate(epm_conf1)
-        )
-        update_misclass_profile(
-            self.profile2, np.concatenate(epm_true), np.concatenate(epm_pred2), np.concatenate(epm_conf2)
-        )
+        true_lab = np.concatenate(epm_true)
+        for profile, pred, conf in zip(profiles, epm_pred, epm_conf):
+            update_misclass_profile(profile, true_lab, np.concatenate(pred), np.concatenate(conf))
 
         if self.decoupling_distance() == 0.0:
             raise NumericError(
@@ -362,15 +331,9 @@ class DualTrainer:
         test2, _ = evaluate(self.model2, self._test_flat, test_labels)
         test_ens = evaluate_ensemble(self.model1, self.model2, self._test_flat, test_labels)
 
-        mean = sums / self.batches_per_epoch
         metrics = EpochMetrics(
-            epoch=self.epoch,
-            lr=float(epoch_lr),
-            sup1=mean[0], sup2=mean[1], cross1=mean[2], cross2=mean[3],
-            self1=mean[4], self2=mean[5],
-            val_acc1=val1, val_acc2=val2,
-            test_acc1=test1, test_acc2=test2, test_acc_ens=test_ens,
-            epm_fallbacks=int(fallbacks),
+            self.epoch, float(epoch_lr), *(sums / self.batches_per_epoch).tolist(),
+            val1, val2, test1, test2, test_ens, fallbacks,
         )
         for which, val_acc, test_acc in (
             ("model1", val1, test1), ("model2", val2, test2), ("ensemble", val_ens, test_ens),
@@ -402,9 +365,16 @@ class DualTrainer:
         if out_dir is not None:
             out = Path(out_dir)
             out.mkdir(parents=True, exist_ok=True)
+            # Rows from this epoch on belong to a run that a crash cut short
+            # after its metrics row was appended; the resumed run rewrites them.
             metrics_path = out / "metrics.csv"
-            if self.epoch == 0 or not metrics_path.exists():
-                metrics_path.write_text(METRICS_HEADER + "\n")
+            rows = metrics_path.read_text().splitlines()[1:] if metrics_path.exists() else []
+            epochs = [row.partition(",")[0] for row in rows]
+            kept = [
+                row for row, e in zip(rows, epochs)
+                if "," in row and e.isdecimal() and int(e) < self.epoch
+            ]
+            metrics_path.write_text("".join(line + "\n" for line in [METRICS_HEADER, *kept]))
         last_epoch = self.cfg.epochs if stop_after is None else min(stop_after, self.cfg.epochs)
         history = []
         for _ in range(self.epoch, last_epoch):
@@ -444,7 +414,10 @@ class DualTrainer:
             raise ConfigError("checkpoint config differs from trainer config (epochs aside)")
         state = unpack_state(arch, tensors)
         try:
-            counters = int(progress["epoch"]), int(progress["global_step"]), dict(progress["best"])
+            best = progress["best"]
+            kinds = (("val_acc", float), ("test_acc", float), ("epoch", int), ("which", str))
+            best = {key: kind(best[key]) for key, kind in kinds}
+            counters = int(progress["epoch"]), int(progress["global_step"]), best
             rngs = restore_rng(progress["data_rng"]), restore_rng(progress["sampler_rng"])
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"malformed progress record: {exc!r}") from exc

@@ -1,5 +1,7 @@
 """Binary checkpoint container: round-trips and integrity failures."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -121,3 +123,21 @@ def test_rng_state_resumes_stream(rng):
     ahead = gen.random(5)
     resumed = restore_rng(state)
     assert np.array_equal(resumed.random(5), ahead)
+
+
+def test_failed_write_keeps_previous_checkpoint(tmp_path, rng, monkeypatch):
+    path = tmp_path / "c.dnll"
+    old = [rng.standard_normal((3, 4))]
+    save_checkpoint(path, "cfg", {"a": 1}, old, {"epoch": 1})
+    real_write = Path.write_bytes
+
+    def torn_write(self, data):
+        real_write(self, data[: len(data) // 2])
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(Path, "write_bytes", torn_write)
+    with pytest.raises(OSError):
+        save_checkpoint(path, "cfg", {"a": 1}, [rng.standard_normal((3, 4))], {"epoch": 2})
+    _, _, tensors, progress = load_checkpoint(path)
+    assert progress == {"epoch": 1}
+    assert np.array_equal(tensors[0], old[0])

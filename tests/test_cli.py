@@ -1,6 +1,8 @@
 """End-to-end command-line runs against a small synthetic dataset."""
 
+import gzip
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -198,6 +200,40 @@ class TestMalformedInputs:
         save_checkpoint(bad, config_text, arch, tensors, progress)
         assert main(checkpoint_argv(command, bad, cfg, data_dir, split_file, tmp_path)) == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("best", [
+        {},
+        [],
+        {"val_acc": "high", "test_acc": 0.5, "epoch": 0, "which": "model1"},
+    ], ids=["empty", "not a dict", "non-numeric accuracy"])
+    def test_checkpoint_malformed_best_exit_2(
+        self, tmp_path, data_dir, split_file, trained, best, capsys
+    ):
+        _, cfg, out = trained
+        config_text, arch, tensors, progress = load_checkpoint(out / "checkpoint_last.dnll")
+        progress["best"] = best
+        progress["epoch"] = 1  # leave one epoch to run
+        bad = tmp_path / "bad.dnll"
+        save_checkpoint(bad, config_text, arch, tensors, progress)
+        argv = checkpoint_argv("train --resume", bad, cfg, data_dir, split_file, tmp_path)
+        assert main(argv) == 2
+        assert "progress" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage", ["garbage", "truncated"])
+    def test_corrupt_gzip_idx_exit_2(self, tmp_path, data_dir, damage, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        plain = data / "train-labels-idx1-ubyte"
+        packed = gzip.compress(plain.read_bytes())
+        plain.unlink()
+        (data / "train-labels-idx1-ubyte.gz").write_bytes(
+            b"\x1f\x8b" + b"garbage" if damage == "garbage" else packed[: len(packed) // 2]
+        )
+        assert main([
+            "split", "--data-dir", str(data), "--n-labeled", "30",
+            "--n-val-per-class", "4", "--seed", "5", "--out", str(tmp_path / "split.txt"),
+        ]) == 2
+        assert "gzip" in capsys.readouterr().err
 
     @pytest.mark.parametrize("lines", [
         "seeds.model1 = -1",

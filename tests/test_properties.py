@@ -5,13 +5,16 @@ other exception escaping these readers would surface as exit 1 and a
 traceback.
 """
 
+import gzip
+import struct
+
 import numpy as np
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from dnll.checkpoint import load_checkpoint, save_checkpoint
 from dnll.config import TrainConfig, parse_config, serialize_config
-from dnll.data import read_split_manifest
+from dnll.data import IMAGE_MAGIC, LABEL_MAGIC, parse_idx, read_split_manifest
 from dnll.errors import DnllError, FormatError
 from dnll.nn import Architecture, init_model
 from dnll.trainer import pack_state, unpack_state
@@ -125,3 +128,35 @@ def test_unpack_state_returns_or_raises_format_error(tmp_path, case):
     except FormatError:
         return
     assert [t.shape for t in pack_state(*state)] == [t.shape for t in tensors]
+
+
+# IDX bytes: arbitrary, or a valid magic with arbitrary dimensions and body.
+idx_bytes = st.one_of(
+    st.binary(max_size=40),
+    st.builds(
+        lambda magic, dims, body: struct.pack(">I", magic) + struct.pack(f">{len(dims)}I", *dims) + body,
+        st.sampled_from([IMAGE_MAGIC, LABEL_MAGIC]),
+        st.lists(st.integers(0, 2**32 - 1) | st.integers(0, 6), max_size=3),
+        st.binary(max_size=40),
+    ),
+)
+# The same bytes plain, gzipped, or gzipped and cut short.
+idx_files = st.one_of(
+    idx_bytes,
+    idx_bytes.map(gzip.compress),
+    st.builds(lambda raw, cut: gzip.compress(raw)[:cut], idx_bytes, st.integers(2, 30)),
+)
+
+
+@FAST
+@given(idx_files)
+@example(raw=b"\x1f\x8b" + b"garbage")
+@example(raw=struct.pack(">IIII", IMAGE_MAGIC, 0, 2**32 - 1, 2**32 - 1))
+def test_parse_idx_returns_or_raises_package_error(tmp_path, raw):
+    path = tmp_path / "file-idx"
+    path.write_bytes(raw)
+    try:
+        array = parse_idx(path)
+    except DnllError:
+        return
+    assert array.dtype in (np.float64, np.int64)

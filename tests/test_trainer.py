@@ -186,6 +186,50 @@ class TestDeterminismAndResume:
         assert len(lines) == 2
         assert len(lines[1].split(",")) == 14
 
+    def test_metrics_fields_parse_as_numbers(self, tmp_path):
+        for selection in ("EP", "EPM"):
+            DualTrainer(BUNDLE, tiny_config(selection_mode=selection)).run(tmp_path / selection)
+            _, *rows = (tmp_path / selection / "metrics.csv").read_text().splitlines()
+            for row in rows:
+                epoch, *floats, fallbacks = row.split(",")
+                assert int(epoch) >= 0 and int(fallbacks) >= 0
+                assert all(np.isfinite(float(v)) for v in floats)
+
+    def test_run_one_epoch_at_a_time_matches_unbroken_run(self, tmp_path):
+        cfg = tiny_config(epochs=3, selection_mode="EPM")
+        DualTrainer(BUNDLE, cfg).run(tmp_path / "full")
+        trainer = DualTrainer(BUNDLE, cfg)
+        for e in range(cfg.epochs):
+            trainer.run(tmp_path / "steps", stop_after=e + 1)
+        for name in ("metrics.csv", "checkpoint_last.dnll", "checkpoint_best.dnll"):
+            assert (tmp_path / "steps" / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
+
+    def test_resume_in_place_after_crash_writes_each_epoch_once(self, tmp_path, monkeypatch):
+        import dnll.trainer as tr
+
+        cfg = tiny_config(epochs=4, selection_mode="EPM")
+        DualTrainer(BUNDLE, cfg).run(tmp_path / "full")
+        crashed = DualTrainer(BUNDLE, cfg)
+        real_save = tr.save_checkpoint
+
+        def killed_after_row_2(path, *args):
+            # epoch 2's metrics row is on disk; its checkpoint never lands
+            if crashed.epoch == 3:
+                raise OSError("killed")
+            real_save(path, *args)
+
+        monkeypatch.setattr(tr, "save_checkpoint", killed_after_row_2)
+        with pytest.raises(OSError):
+            crashed.run(tmp_path / "run")
+        monkeypatch.undo()
+        resumed = DualTrainer(BUNDLE, cfg)
+        resumed.load(tmp_path / "run" / "checkpoint_last.dnll")
+        assert resumed.epoch == 2
+        resumed.run(tmp_path / "run")
+        full = (tmp_path / "full" / "metrics.csv").read_text()
+        assert (tmp_path / "run" / "metrics.csv").read_text() == full
+        assert [row.split(",")[0] for row in full.splitlines()[1:]] == ["0", "1", "2", "3"]
+
     def test_resume_matches_unbroken_run(self, tmp_path):
         cfg = tiny_config(epochs=5, selection_mode="EPM", learning_mode="mutual")
         full = DualTrainer(BUNDLE, cfg)
