@@ -134,7 +134,7 @@ def test_unpack_state_returns_or_raises_format_error(tmp_path, case):
 idx_bytes = st.one_of(
     st.binary(max_size=40),
     st.builds(
-        lambda magic, dims, body: struct.pack(">I", magic) + struct.pack(f">{len(dims)}I", *dims) + body,
+        lambda magic, dims, body: struct.pack(f">{1 + len(dims)}I", magic, *dims) + body,
         st.sampled_from([IMAGE_MAGIC, LABEL_MAGIC]),
         st.lists(st.integers(0, 2**32 - 1) | st.integers(0, 6), max_size=3),
         st.binary(max_size=40),
